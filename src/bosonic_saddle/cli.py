@@ -4,8 +4,8 @@ Subcommands: amplitude, scan, error-sweep, saddles, bench.  All outputs are
 deterministic for fixed seed and flags (wall-time fields excepted, by
 nature).  JSON records carry "schema": "v1"; CSV output starts with a
 versioned header comment.  Exit codes: 0 ok, 2 input error, 3 coalescing
-saddles flagged, 4 no saddles found.  BOSONIC_SADDLE_THREADS caps sweep
-parallelism (default: available cores).
+saddles flagged, 4 no saddles found.  Sweep rows run one after another:
+the work is pure Python and holds the GIL, so threads would buy nothing.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,16 +59,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COALESCING = 3
 EXIT_NO_SADDLES = 4
-
-
-def thread_count() -> int:
-    raw = os.environ.get("BOSONIC_SADDLE_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"BOSONIC_SADDLE_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 def _value_record(value: LogComplex) -> dict:
@@ -298,21 +286,13 @@ def cmd_error_sweep(args) -> int:
     out_fracs = parse_fractions(args.out_fractions)
     if len(in_fracs) != matrix.dim or len(out_fracs) != matrix.dim:
         raise ValueError("fraction lists must match the matrix dimension")
-    jobs = []
+    rows = []
     for total in range(args.n_min, args.n_max + 1, args.n_step):
         n = occupation_from_fractions(in_fracs, total)
         m = occupation_from_fractions(out_fracs, total)
         if n is None or m is None:
             continue  # fractions do not give integers at this N
-        jobs.append((total, n, m))
-    workers = min(thread_count(), max(1, len(jobs)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda j: _sweep_row(matrix, j[1], j[2], args.seed, args.starts), jobs)
-            )
-    else:
-        rows = [_sweep_row(matrix, n, m, args.seed, args.starts) for _, n, m in jobs]
+        rows.append(_sweep_row(matrix, n, m, args.seed, args.starts))
     out = sys.stdout
     print(SWEEP_HEADER, file=out)
     cols = [
@@ -323,7 +303,7 @@ def cmd_error_sweep(args) -> int:
         "wall_time_exact", "wall_time_approx",
     ]
     print(",".join(cols), file=out)
-    for row in sorted(rows, key=lambda r: r["N"]):
+    for row in rows:
         print(",".join(_fmt(row.get(c)) for c in cols), file=out)
     return EXIT_OK
 

@@ -8,10 +8,14 @@ column-crossing vectors r with 0 <= r_l <= m_l:
     per(U[n|m]) = sum_r (-1)^{sum r} prod_k C(m_k, r_k) (sum_l (m_l - r_l) U_kl)^{n_k}
 
 with the single point r = m excluded, i.e. prod_k (m_k + 1) - 1 terms in
-total and O(N^{M+1}) flops.  The series alternates and can cancel down many
-orders of magnitude below its largest term, so the engine tracks the
-cancellation condition and transparently re-runs ill-conditioned sums at
-higher precision (mpmath); results always come back as LogComplex.
+total and O(N^{M+1}) flops.  The series alternates and can cancel many
+orders of magnitude below its largest term, so the default engine does not
+use floating point at all: float64 entries are dyadic rationals, the matrix
+times one power of two is a Gaussian-integer matrix, and the (Glynn form of
+the) sum is evaluated exactly in Python ints.  Only the final division by
+the normalization rounds, once; results come back as LogComplex.  A plain
+float64 pass of the sum above (precision="double") is kept for the flop
+model and runtime-complexity benchmarks.
 
 A brute-force permutation-sum permanent (the reference oracle) and a
 contingency-table average (an independent small-N oracle) are provided for
@@ -22,15 +26,15 @@ accounting for the reduced inclusion-exclusion sum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-import mpmath as mp
 import numpy as np
 
 from .errors import MarginMismatch, TooLarge
-from .logcomplex import LogComplex, ScaledComplexSum, _frexp_int
+from .logcomplex import _LN2, LogComplex, ScaledComplexSum, _frexp_int
 from .network import (
     NetworkMatrix,
     Occupation,
@@ -39,11 +43,7 @@ from .network import (
     fisher_yates_probability,
 )
 
-# accept the float64 pass when the cancellation loses no more than this many digits
-_DOUBLE_COND_LIMIT = 4.3
-# extra decimal digits requested beyond the observed cancellation loss
-_MP_HEADROOM = 24
-_MP_MAX_PASSES = 5
+_LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,11 @@ class RyserStats:
     """Instrumentation record for one permanent evaluation."""
 
     terms: int = 0
-    weighted_terms: int = 0  # sum over r of s(r) = #{l : r_l < m_l}
+    weighted_terms: int = 0  # sum over the summed points r of s(r) = #{l : r_l < m_l}
     instrumented_flops: int = 0  # N * weighted_terms
     max_term_log: float = -math.inf
-    condition_log10: float = 0.0
-    dps_used: int = 0  # 0 means float64 only
+    condition_log10: float = 0.0  # log10(largest |term| / |sum|)
+    dps_used: int = 0  # decimal digits of the largest integer term; 0 means float64 only
     passes: int = 1
 
 
@@ -132,7 +132,7 @@ def permanent_naive(matrix) -> LogComplex:
 # -- reduced inclusion-exclusion engine --------------------------------------
 
 
-def _ryser_double(a, n_counts, m_counts, zero_snap: float = 0.0):
+def _ryser_double(a, n_counts, m_counts):
     """Pure float64 pass over the reduced inclusion-exclusion sum.
 
     a is a row-major list of lists of Python complex.  Returns
@@ -259,8 +259,6 @@ def _ryser_double(a, n_counts, m_counts, zero_snap: float = 0.0):
     else:
         max_term_log = math.log(max_mag) + max_exp2 * math.log(2.0)
         vmag = abs(acc_s)
-        if zero_snap and vmag <= zero_snap * ldexp(max_mag, min(max_exp2 - anchor, 4400)):
-            value = LogComplex.zero()
         if vmag == 0.0:
             cond = math.inf if acc_abs > 0 else 0.0
         else:
@@ -277,153 +275,160 @@ def _ryser_double(a, n_counts, m_counts, zero_snap: float = 0.0):
     return value, stats
 
 
-@lru_cache(maxsize=512)
-def _small_grid(m_counts):
-    """Cached odometer grid and per-point weights for small margins."""
+@lru_cache(maxsize=64)
+def _gaussian_rows(raw: bytes, dim: int, squared: bool):
+    """Integer rows (re, im) and a shift s with a == (re + i im) / 2**s exactly.
+
+    raw holds the dim x dim complex128 matrix a.  Every float64 is a dyadic
+    rational, so one common power-of-two shift turns a into Gaussian
+    integers.  squared=True gives the real matrix re**2 + im**2, which is
+    |a|**2 * 2**(2s), and the shift 2s.  Cached: scans and sign calibrations
+    reuse one network many times.
+    """
+    values = np.frombuffer(raw, dtype=np.complex128).tolist()
+    ratios = [v.as_integer_ratio() for z in values for v in (z.real, z.imag)]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    ints = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+    re = tuple(tuple(ints[2 * k * dim : 2 * (k + 1) * dim : 2]) for k in range(dim))
+    im = tuple(tuple(ints[2 * k * dim + 1 : 2 * (k + 1) * dim : 2]) for k in range(dim))
+    if squared:
+        re = tuple(tuple(x * x + y * y for x, y in zip(rr, ri)) for rr, ri in zip(re, im))
+        im = tuple((0,) * dim for _ in range(dim))
+        shift *= 2
+    return re, im, shift
+
+
+def _permanent_exact(a_np, n_counts, m_counts, squared: bool = False):
+    """per(A[n|m]) exactly, in Python ints: (re, im, exp2, stats).
+
+    per(A[n|m]) == (re + i im) * 2**exp2, with A = a_np, or |a_np|**2 when
+    squared.  The sum is the reduced Glynn form
+
+        per(A[n|m]) = 2^-N sum_{s <= m} (-1)^{|s|} prod_l C(m_l, s_l)
+                      prod_k (sum_l (m_l - 2 s_l) A_kl)^{n_k},
+
+    whose terms at s and m - s are equal (every row sum changes sign), so
+    only the first half of the odometer is walked, row sums and signed
+    binomial weight updated incrementally.  It runs on whichever of the two
+    margins gives fewer terms, since per(A[n|m]) == per(A^T[m|n]).
+    """
+    a_np = np.ascontiguousarray(a_np, dtype=np.complex128)
+    g_re, g_im, shift = _gaussian_rows(a_np.tobytes(), len(a_np), squared)
+    if math.prod(c + 1 for c in n_counts) < math.prod(c + 1 for c in m_counts):
+        g_re, g_im = tuple(zip(*g_re)), tuple(zip(*g_im))
+        n_counts, m_counts = m_counts, n_counts
+    real = not any(map(any, g_im))
     modes = len(m_counts)
-    shape = tuple(mk + 1 for mk in m_counts)
-    grid = np.indices(shape).reshape(modes, -1).T  # odometer points, row-major
-    grid = grid[:-1]  # drop r == m
-    rsum = grid.sum(axis=1)
-    signs = np.where(rsum % 2 == 0, 1.0, -1.0)
-    binprod = np.ones(len(grid))
-    for k, mk in enumerate(m_counts):
-        table = np.array([math.comb(mk, rr) for rr in range(mk + 1)], dtype=float)
-        binprod *= table[grid[:, k]]
-    open_cols = (grid < np.array(m_counts)).sum(axis=1)
-    weighted = int(open_cols.sum())
-    rem = np.array(m_counts, dtype=float) - grid
-    return grid, signs, binprod, weighted, rem
+    total = math.prod(c + 1 for c in m_counts)
+    count = (total + 1) // 2  # the first half, centre s = m/2 included
+    # per column: the row-sum change when s_l steps up, and when it wraps to 0
+    steps_re = [[-2 * row[l] for row in g_re] for l in range(modes)]
+    steps_im = [[-2 * row[l] for row in g_im] for l in range(modes)]
+    wraps_re = [[2 * m_counts[l] * row[l] for row in g_re] for l in range(modes)]
+    wraps_im = [[2 * m_counts[l] * row[l] for row in g_im] for l in range(modes)]
+    # rows whose exponent has bit b set, for b from the highest bit down
+    chain = [
+        [k for k, nk in enumerate(n_counts) if nk >> b & 1]
+        for b in reversed(range(max(n_counts).bit_length()))
+    ]
+    # prod_k w_k^{n_k} == prod_j (prod_{i<=j} w_{o_i})^{n_{o_j} - n_{o_{j+1}}},
+    # rows o ordered by decreasing n: fewer, larger powers
+    order = sorted(range(modes), key=lambda k: -n_counts[k])
+    drops = [(k, n_counts[k] - n_counts[nxt]) for k, nxt in zip(order, order[1:])]
+    drops.append((order[-1], n_counts[order[-1]]))
 
-
-def _ryser_small(a_np, n_counts, m_counts):
-    """Vectorized float64 pass, valid only for small, bounded problems."""
-    modes = len(n_counts)
-    n_total = sum(n_counts)
-    _, signs, binprod, weighted, rem = _small_grid(tuple(m_counts))
-    w = rem @ a_np.T  # (T, M) row sums
-    powers = w ** np.asarray(n_counts)
-    terms = signs * binprod * powers.prod(axis=1)
-    value = terms.sum()
-    mags = np.abs(terms)
-    max_mag = float(mags.max()) if len(mags) else 0.0
-    abs_sum = float(mags.sum())
-    vmag = abs(value)
-    if vmag == 0.0:
-        cond = math.inf if abs_sum > 0 else 0.0
+    w_re = [sum(map(operator.mul, m_counts, row)) for row in g_re]
+    w_im = [sum(map(operator.mul, m_counts, row)) for row in g_im]
+    s = [0] * modes
+    coef = 1  # (-1)^{|s|} prod_l C(m_l, s_l)
+    open_cols = sum(1 for c in m_counts if c)  # #{l : s_l < m_l}
+    weighted = 0
+    acc_re = acc_im = max_bits = 0
+    for idx in range(count):
+        if real:
+            t_re, t_im, part = coef, 0, 1
+            for k, d in drops:
+                part *= w_re[k]
+                if d:
+                    t_re *= part**d
+        else:
+            # prod_k w_k^{n_k} along one shared squaring chain
+            t_re, t_im = 1, 0
+            for ks in chain:
+                t_re, t_im = (t_re + t_im) * (t_re - t_im), 2 * t_re * t_im
+                for k in ks:
+                    a, b = w_re[k], w_im[k]
+                    t_re, t_im = t_re * a - t_im * b, t_re * b + t_im * a
+            t_re *= coef
+            t_im *= coef
+        acc_re += t_re
+        acc_im += t_im
+        max_bits = max(max_bits, t_re.bit_length(), t_im.bit_length())
+        weighted += open_cols
+        if idx + 1 == count:
+            break
+        # advance the odometer, last index fastest
+        j = modes - 1
+        while s[j] == m_counts[j]:
+            s[j] = 0
+            if m_counts[j]:
+                open_cols += 1
+                coef = -coef if m_counts[j] & 1 else coef
+                w_re = list(map(operator.add, w_re, wraps_re[j]))
+                w_im = w_im if real else list(map(operator.add, w_im, wraps_im[j]))
+            j -= 1
+        coef = -coef * (m_counts[j] - s[j]) // (s[j] + 1)
+        s[j] += 1
+        open_cols -= s[j] == m_counts[j]
+        w_re = list(map(operator.add, w_re, steps_re[j]))
+        w_im = w_im if real else list(map(operator.add, w_im, steps_im[j]))
+    if total % 2:  # the centre is its own mirror image: count it once
+        acc_re, acc_im = 2 * acc_re - t_re, 2 * acc_im - t_im
     else:
-        cond = math.log10(abs_sum / vmag) if abs_sum > 0 else 0.0
+        acc_re, acc_im = 2 * acc_re, 2 * acc_im
+    n_total = sum(n_counts)
+    exp2 = -(shift + 1) * n_total
+    sum_bits = max(acc_re.bit_length(), acc_im.bit_length())
+    if not max_bits:
+        cond = 0.0
+    elif not sum_bits:
+        cond = math.inf
+    else:
+        cond = max(0.0, (max_bits - sum_bits) * _LOG10_2)
     stats = RyserStats(
-        terms=len(terms),
+        terms=count,
         weighted_terms=weighted,
         instrumented_flops=n_total * weighted,
-        max_term_log=math.log(max_mag) if max_mag > 0 else -math.inf,
+        # the largest |term| is within a factor 2 of 2**(max_bits - 1/2 + exp2)
+        max_term_log=(max_bits - 0.5 + exp2) * _LN2 if max_bits else -math.inf,
         condition_log10=cond,
-        dps_used=0,
+        dps_used=max(1, math.ceil(max_bits * _LOG10_2)),
         passes=1,
     )
-    return LogComplex.from_complex(complex(value)), stats
+    return acc_re, acc_im, exp2, stats
 
 
-def _ryser_mp(a, n_counts, m_counts, dps: int):
-    """High-precision pass; the accuracy authority for ill-conditioned sums.
+def _int_quotient(re: int, im: int, den: int, exp2: int) -> LogComplex:
+    """(re + i im) * 2**exp2 / den, each part correctly rounded.
 
-    Returns (LogComplex, max_term_log, condition_log10).
+    Python's int true division rounds correctly at any size; the numerator is
+    scaled so that the quotient lies near 2**64, well inside float range.
     """
-    modes = len(n_counts)
-    with mp.workdps(dps):
-        a_mp = [[mp.mpc(z) for z in row] for row in a]
-        m_arr = list(m_counts)
-        total = mp.mpc(0)
-        abs_sum = mp.mpf(0)
-        max_term = mp.mpf(0)
-        r = [0] * modes
-        total_points = 1
-        for mk in m_counts:
-            total_points *= mk + 1
-        for idx in range(total_points - 1):
-            sign = -1 if sum(r) % 2 else 1
-            term = mp.mpc(sign)
-            for k in range(modes):
-                row_sum = mp.mpc(0)
-                for l in range(modes):
-                    c = m_arr[l] - r[l]
-                    if c:
-                        row_sum += c * a_mp[k][l]
-                term *= mp.mpf(math.comb(m_counts[k], r[k])) * row_sum ** n_counts[k]
-            total += term
-            mag = abs(term)
-            abs_sum += mag
-            if mag > max_term:
-                max_term = mag
-            j = modes - 1
-            while r[j] == m_counts[j]:
-                r[j] = 0
-                j -= 1
-            r[j] += 1
-        tot_mag = abs(total)
-        if max_term == 0:
-            return LogComplex.zero(), -math.inf, 0.0
-        max_log = float(mp.log(max_term))
-        if tot_mag == 0:
-            return LogComplex.zero(), max_log, math.inf
-        cond = float(mp.log10(abs_sum / tot_mag))
-        value = LogComplex.from_log_polar(float(mp.log(tot_mag)), float(mp.arg(total)))
-    return value, max_log, cond
-
-
-def _ryser_adaptive(a_np, n_counts, m_counts):
-    """Float64 first, escalating to mpmath until the cancellation is resolved.
-
-    A sum that stays at noise level pass after pass (magnitude below
-    10**-(dps-8) of the largest term even after a confirmation pass at twice
-    the working precision) is reported as the canonical exact zero: these are
-    the structurally suppressed amplitudes.
-    """
-    modes = len(n_counts)
-    small = (
-        sum(n_counts) <= 10
-        and float(np.max(np.abs(a_np))) <= 1e3
-    )
-    if small:
-        value, stats = _ryser_small(a_np, n_counts, m_counts)
+    if not (re or im):
+        return LogComplex.zero()
+    k = 64 + den.bit_length() - max(re.bit_length(), im.bit_length())
+    if k >= 0:
+        re, im = re << k, im << k
     else:
-        a_list = [list(map(complex, row)) for row in a_np]
-        value, stats = _ryser_double(a_list, n_counts, m_counts)
-    if stats.condition_log10 <= _DOUBLE_COND_LIMIT:
-        return value, stats
-
-    a_list = [list(map(complex, row)) for row in a_np]
-    dps = 30 if not math.isfinite(stats.condition_log10) else int(stats.condition_log10) + _MP_HEADROOM
-    dps = max(dps, 30)
-    zero_confirmed = False
-    for p in range(_MP_MAX_PASSES):
-        stats.passes += 1
-        stats.dps_used = dps
-        value, max_log, cond = _ryser_mp(a_list, n_counts, m_counts, dps)
-        stats.max_term_log = max_log
-        stats.condition_log10 = cond
-        if max_log == -math.inf:
-            return LogComplex.zero(), stats
-        noise_floor = max_log - (dps - 8) * math.log(10)
-        if value.is_zero or value.log_mag <= noise_floor:
-            if zero_confirmed:
-                return LogComplex.zero(), stats
-            zero_confirmed = True
-            dps = 2 * dps + 20
-            continue
-        zero_confirmed = False
-        if dps - cond >= 14:
-            return value, stats
-        dps = int(cond) + _MP_HEADROOM + 6
-    return value, stats
+        den <<= -k
+    return LogComplex(complex(re / den, im / den), exp2 - k)
 
 
 def permanent_ryser_repeated(spec: RepeatedMatrixSpec, precision: str = "adaptive") -> LogComplex:
     """per(U[n|m]) via the reduced inclusion-exclusion sum.
 
     precision:
-      "adaptive" (default) - float64 with automatic high-precision recovery
+      "adaptive" (default) - exact integer sum, one rounding at the end
       "double" - single float64 pass (used for runtime-complexity benchmarks)
     """
     value, _ = permanent_ryser_repeated_with_stats(spec, precision)
@@ -445,13 +450,13 @@ def _permanent_repeated_raw(a_np, n_counts, m_counts, precision: str = "adaptive
         raise MarginMismatch("row and column repetitions must agree in total")
     if sum(n_counts) == 0:
         return LogComplex.one(), RyserStats(terms=0)
-    a_np = np.asarray(a_np, dtype=np.complex128)
     if precision == "double":
-        a_list = [list(map(complex, row)) for row in a_np]
+        a_list = [list(map(complex, row)) for row in np.asarray(a_np, dtype=np.complex128)]
         return _ryser_double(a_list, n_counts, m_counts)
     if precision != "adaptive":
         raise ValueError(f"unknown precision mode {precision!r}")
-    return _ryser_adaptive(a_np, n_counts, m_counts)
+    re, im, exp2, stats = _permanent_exact(a_np, n_counts, m_counts)
+    return _int_quotient(re, im, 1, exp2), stats
 
 
 # -- amplitudes and probabilities ---------------------------------------------
@@ -470,12 +475,22 @@ def log_factorial_norm(n: Occupation, m: Occupation) -> float:
 def amplitude_exact(
     U: NetworkMatrix, n: Occupation, m: Occupation, precision: str = "adaptive"
 ) -> LogComplex:
-    """Exact transition amplitude <m|n> = per(U[n|m]) / sqrt(prod n_k! m_k!)."""
+    """Exact transition amplitude <m|n> = per(U[n|m]) / sqrt(prod n_k! m_k!).
+
+    The default path divides the exact integer permanent by the exact
+    normalization, so the returned value is the amplitude of the stored
+    float64 matrix rounded once; it is zero only when the integer sum is 0.
+    """
     check_margins(n, m)
     if n.modes != U.dim:
         raise MarginMismatch("occupation length must equal the matrix dimension")
+    # sqrt(prod n_k! m_k!) * 2**128, low by less than one unit
+    root = math.isqrt(math.prod(map(math.factorial, n.counts + m.counts)) << 256)
+    if precision == "adaptive" and n.total:
+        re, im, exp2, _ = _permanent_exact(U.entries, n.counts, m.counts)
+        return _int_quotient(re, im, root, exp2 + 128)
     per, _ = _permanent_repeated_raw(U.entries, n.counts, m.counts, precision)
-    return per * LogComplex.from_real_log(-log_factorial_norm(n, m))
+    return per * _int_quotient(1, 0, root, 128)
 
 
 def amplitude_via_contingency_average(
@@ -515,12 +530,11 @@ def classical_probability(U: NetworkMatrix, n: Occupation, m: Occupation) -> flo
     configurations gives 1.
     """
     check_margins(n, m)
-    a = np.abs(U.entries) ** 2
-    per, _ = _permanent_repeated_raw(a, n.counts, m.counts)
-    if per.is_zero:
-        return 0.0
-    log_p = per.log_mag - sum(math.lgamma(c + 1) for c in m.counts)
-    return math.exp(log_p)
+    if n.modes != U.dim:
+        raise MarginMismatch("occupation length must equal the matrix dimension")
+    # |U_kl|^2 = re^2 + im^2 is dyadic too: exact integers, one rounding
+    per, _, exp2, _ = _permanent_exact(U.entries, n.counts, m.counts, squared=True)
+    return per / (math.prod(map(math.factorial, m.counts)) << -exp2)
 
 
 def bell_classical_probability(modes: int, m: Occupation) -> float:
