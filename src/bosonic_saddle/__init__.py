@@ -29,25 +29,18 @@ from .exact import (
     RepeatedMatrixSpec,
     RyserStats,
     amplitude_exact,
-    amplitude_via_contingency_average,
     bell_classical_probability,
     classical_probability,
     flop_estimate,
-    permanent_naive,
     permanent_ryser_repeated,
     permanent_ryser_repeated_with_stats,
 )
-from .logcomplex import LogComplex, ScaledComplexSum
+from .logcomplex import LogComplex
 from .network import (
-    ContingencyTable,
     NetworkMatrix,
     Occupation,
     beam_splitter,
-    count_contingency_tables,
-    count_tables_by_crossed_columns,
-    enumerate_contingency_tables,
     enumerate_output_configs,
-    fisher_yates_probability,
     haar_random_unitary,
     output_config_count,
     tritter,
@@ -74,6 +67,7 @@ from .scaling import (
     ScalingProblem,
     build_reduced_system,
     canonicalize_and_dedup,
+    conjugate_pairs,
     default_start_count,
     sinkhorn_scale_classical,
     solve_all_saddles,

@@ -95,21 +95,22 @@ class BeamSplitterCase:
         return classify_regime(self)
 
 
-def classify_regime(case: BeamSplitterCase, band: float = COALESCING_BAND) -> Regime:
+def classify_regime(case: BeamSplitterCase) -> Regime:
     """Oscillatory / decay / coalescing by the sign of N^2 - (Dn)^2 - (Dm)^2.
 
-    The coalescing band is |gamma^2 - 1| <= min(band/N, 1/2), expressed
-    through the integer identity 4 n1 n2 (1 - gamma^2) = N^2 - (Dn)^2 - (Dm)^2
-    so that zero-occupation edges are classified consistently.  The 1/2 cap
-    keeps the band meaningful at small N (without it, band/N >= 1 would
-    swallow the whole oscillatory region).
+    The coalescing band is |gamma^2 - 1| <= min(COALESCING_BAND/N, 1/2),
+    expressed through the integer identity
+    4 n1 n2 (1 - gamma^2) = N^2 - (Dn)^2 - (Dm)^2 so that zero-occupation
+    edges are classified consistently.  The 1/2 cap keeps the band meaningful
+    at small N (without it, COALESCING_BAND/N >= 1 would swallow the whole
+    oscillatory region).
     """
     total = case.total
     disc = total**2 - case.delta_n**2 - case.delta_m**2
     four_n1n2 = 4 * case.n1 * case.n2
     if four_n1n2 == 0:
         return Regime.COALESCING if disc == 0 else Regime.DECAY
-    if abs(disc) <= min(band / total, 0.5) * four_n1n2:
+    if abs(disc) <= min(COALESCING_BAND / total, 0.5) * four_n1n2:
         return Regime.COALESCING
     return Regime.OSCILLATORY if disc > 0 else Regime.DECAY
 

@@ -17,10 +17,9 @@ the normalization rounds, once; results come back as LogComplex.  A plain
 float64 pass of the sum above (precision="double") is kept for the flop
 model and runtime-complexity benchmarks.
 
-A brute-force permutation-sum permanent (the reference oracle) and a
-contingency-table average (an independent small-N oracle) are provided for
-cross-checking, together with classical-particle probabilities and the flop
-accounting for the reduced inclusion-exclusion sum.
+Classical-particle probabilities and the flop accounting for the reduced
+inclusion-exclusion sum live here too; the independent small-N oracles used
+to cross-check the engine are in the test suite.
 """
 
 from __future__ import annotations
@@ -29,19 +28,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
-from .errors import MarginMismatch, TooLarge
-from .logcomplex import _LN2, LogComplex, ScaledComplexSum, _frexp_int
-from .network import (
-    NetworkMatrix,
-    Occupation,
-    check_margins,
-    enumerate_contingency_tables,
-    fisher_yates_probability,
-)
+from .errors import MarginMismatch
+from .logcomplex import _LN2, LogComplex, _frexp_int
+from .network import NetworkMatrix, Occupation, check_margins
 
 _LOG10_2 = math.log10(2.0)
 
@@ -103,30 +95,6 @@ def flop_estimate(n: Occupation, m: Occupation) -> FlopEstimate:
     modes = m.modes
     base = n_total * (total_points - 1)
     return FlopEstimate(lower=base, upper=modes * base)
-
-
-def permanent_naive(matrix) -> LogComplex:
-    """Permutation-sum permanent: sum over all n! permutations.
-
-    The reference oracle; guarded at n <= 10 because of factorial growth.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
-    n = a.shape[0]
-    if n > 10:
-        raise TooLarge(f"permutation oracle limited to n <= 10, got {n}")
-    if n == 0:
-        return LogComplex.one()
-    rows = [tuple(row) for row in a.tolist()]
-    total = 0j
-    idx = range(n)
-    for perm in permutations(idx):
-        prod = 1.0 + 0j
-        for i in idx:
-            prod *= rows[i][perm[i]]
-        total += prod
-    return LogComplex.from_complex(total)
 
 
 # -- reduced inclusion-exclusion engine --------------------------------------
@@ -472,55 +440,22 @@ def log_factorial_norm(n: Occupation, m: Occupation) -> float:
     return 0.5 * s
 
 
-def amplitude_exact(
-    U: NetworkMatrix, n: Occupation, m: Occupation, precision: str = "adaptive"
-) -> LogComplex:
+def amplitude_exact(U: NetworkMatrix, n: Occupation, m: Occupation) -> LogComplex:
     """Exact transition amplitude <m|n> = per(U[n|m]) / sqrt(prod n_k! m_k!).
 
-    The default path divides the exact integer permanent by the exact
-    normalization, so the returned value is the amplitude of the stored
-    float64 matrix rounded once; it is zero only when the integer sum is 0.
+    The exact integer permanent is divided by the exact normalization, so the
+    returned value is the amplitude of the stored float64 matrix rounded
+    once; it is zero only when the integer sum is 0.
     """
     check_margins(n, m)
     if n.modes != U.dim:
         raise MarginMismatch("occupation length must equal the matrix dimension")
+    if not n.total:
+        return LogComplex.one()
     # sqrt(prod n_k! m_k!) * 2**128, low by less than one unit
     root = math.isqrt(math.prod(map(math.factorial, n.counts + m.counts)) << 256)
-    if precision == "adaptive" and n.total:
-        re, im, exp2, _ = _permanent_exact(U.entries, n.counts, m.counts)
-        return _int_quotient(re, im, root, exp2 + 128)
-    per, _ = _permanent_repeated_raw(U.entries, n.counts, m.counts, precision)
-    return per * _int_quotient(1, 0, root, 128)
-
-
-def amplitude_via_contingency_average(
-    U: NetworkMatrix, n: Occupation, m: Occupation
-) -> LogComplex:
-    """Amplitude as N! times the margin-constrained table average of prod U^S.
-
-    Each contingency table S with margins (n, m) carries the exact rational
-    probability prod(n_k!) prod(m_l!) / (N! prod S_kl!); the amplitude is
-    N! <prod_kl U_kl^S_kl> / sqrt(prod n_k! m_k!).  Independent of the
-    inclusion-exclusion engine; exponential in N, hence the N <= 8 guard.
-    """
-    check_margins(n, m)
-    if n.total > 8:
-        raise TooLarge("contingency-table oracle limited to N <= 8")
-    if n.modes != U.dim:
-        raise MarginMismatch("occupation length must equal the matrix dimension")
-    a = U.entries
-    acc = ScaledComplexSum()
-    for table in enumerate_contingency_tables(n, m):
-        prob = float(fisher_yates_probability(table))
-        factor = 1.0 + 0j
-        for k, row in enumerate(table.entries):
-            for l, s in enumerate(row):
-                if s:
-                    factor *= complex(a[k, l]) ** s
-        acc.add_scaled(prob * factor, 0)
-    value = acc.result()
-    n_fact = LogComplex.from_real_log(math.lgamma(n.total + 1))
-    return value * n_fact * LogComplex.from_real_log(-log_factorial_norm(n, m))
+    re, im, exp2, _ = _permanent_exact(U.entries, n.counts, m.counts)
+    return _int_quotient(re, im, root, exp2 + 128)
 
 
 def classical_probability(U: NetworkMatrix, n: Occupation, m: Occupation) -> float:

@@ -26,24 +26,6 @@ from .errors import ZeroScalingComponent
 from .logcomplex import LogComplex
 
 
-def assemble_full_D(n_frac, m_frac, p) -> np.ndarray:
-    """The full 2M x 2M block matrix [[diag(n/N), p], [p^T, diag(m/N)]]."""
-    modes = len(n_frac)
-    d = np.zeros((2 * modes, 2 * modes), dtype=complex)
-    d[:modes, :modes] = np.diag(n_frac)
-    d[modes:, modes:] = np.diag(m_frac)
-    d[:modes, modes:] = p
-    d[modes:, :modes] = p.T
-    return d
-
-
-def principal_minor_det(n_frac, m_frac, p, crossed_index: int) -> complex:
-    """det of D with row/column `crossed_index` removed (direct evaluation)."""
-    d = assemble_full_D(n_frac, m_frac, p)
-    keep = [i for i in range(d.shape[0]) if i != crossed_index]
-    return complex(np.linalg.det(d[np.ix_(keep, keep)]))
-
-
 def det_dprime_schur(n_frac, m_frac, p, crossed_index: int | None = None) -> complex:
     """det(D') by Schur complement; crossed_index in [0, 2M) picks the minor.
 

@@ -1,13 +1,13 @@
-"""Overflow-safe complex values in log-polar form, plus a compensated accumulator.
+"""Overflow-safe complex values in log-polar form.
 
 Transition amplitudes involve factors like N! and row-sum powers w^n that
 overflow float64 long before the final, normalized result does.  ``LogComplex``
 presents the (log-magnitude, phase) interface while internally storing a
 complex mantissa together with a power-of-two exponent, so that conversions to
 and from ordinary complex numbers are exact whenever the value is representable
-at all.  ``ScaledComplexSum`` is the matching accumulator: a Kahan-compensated
-complex sum anchored at the running maximum binary exponent, which is what the
-alternating inclusion-exclusion series in the exact engine needs.
+at all.  Sums of a few such values (the saddle terms) use ``+``, which aligns
+the exponents exactly; the long alternating series of the exact engine is
+summed in integers instead.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ def _frexp_int(value: int):
     excess = bits - 64
     m, e = math.frexp(float(value >> excess))
     return m, e + excess
-
-
-def log_abs_int(value: int) -> float:
-    """Natural log of |value| for an arbitrary-size nonzero integer."""
-    return math.log(abs(value))
 
 
 class LogComplex:
@@ -230,109 +225,3 @@ class LogComplex:
         if self.is_zero:
             return "LogComplex(0)"
         return f"LogComplex(log_mag={self.log_mag:.12g}, phase={self.phase:.12g})"
-
-
-class ScaledComplexSum:
-    """Kahan-compensated complex accumulator anchored at a binary exponent.
-
-    Terms arrive as (mantissa, exp2) pairs.  The anchor tracks the running
-    maximum exponent so partial sums are rescaled (an exact power-of-two
-    operation) instead of overflowing; terms more than ~2100 binary orders
-    below the anchor are dropped, which is below one ulp of the total.  The
-    accumulator also records the largest term magnitude and the sum of all
-    term magnitudes, from which the cancellation condition of an alternating
-    series can be estimated.
-    """
-
-    __slots__ = ("_anchor", "_s", "_c", "_abs", "_max_exp2", "_max_mag", "_count")
-
-    def __init__(self):
-        self._anchor = 0
-        self._s = 0j
-        self._c = 0j
-        self._abs = 0.0
-        self._max_exp2 = None
-        self._max_mag = 0.0
-        self._count = 0
-
-    def add_scaled(self, mant: complex, exp2: int):
-        a = abs(mant)
-        if a == 0.0:
-            self._count += 1
-            return
-        _, e = math.frexp(a)
-        mant = _scaled(mant, -e)
-        a = abs(mant)
-        exp2 += e
-        self._count += 1
-        if self._max_exp2 is None or (exp2, a) > (self._max_exp2, self._max_mag):
-            self._max_exp2, self._max_mag = exp2, a
-        if self._count == 1 or (self._s == 0j and self._c == 0j and self._abs == 0.0):
-            self._anchor = exp2
-            self._s = mant
-            self._abs = a
-            return
-        d = exp2 - self._anchor
-        if d > 0:
-            self._s = _scaled(self._s, -d)
-            self._c = _scaled(self._c, -d)
-            self._abs = math.ldexp(self._abs, -d) if d <= _SHIFT_LIMIT else 0.0
-            self._anchor = exp2
-            d = 0
-        if d < -2100:
-            return
-        t = _scaled(mant, d)
-        self._abs += abs(t)
-        y = t - self._c
-        total = self._s + y
-        self._c = (total - self._s) - y
-        self._s = total
-
-    def add(self, value: LogComplex):
-        if value.is_zero:
-            self._count += 1
-            return
-        self.add_scaled(value.mantissa, value.exp2)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def max_term_log(self) -> float:
-        """Natural log of the largest term magnitude (-inf if none)."""
-        if self._max_exp2 is None:
-            return -math.inf
-        return math.log(self._max_mag) + self._max_exp2 * _LN2
-
-    def abs_sum_log(self) -> float:
-        """Natural log of the sum of term magnitudes (-inf if none)."""
-        if self._abs == 0.0:
-            return -math.inf
-        return math.log(self._abs) + self._anchor * _LN2
-
-    def result(self) -> LogComplex:
-        return LogComplex(self._s, self._anchor)
-
-    def result_with_snap(self, rel_eps: float) -> LogComplex:
-        """Result, snapped to the canonical zero when it is numerically zero.
-
-        A sum whose magnitude falls below ``rel_eps`` times the largest term
-        cannot be distinguished from an exact cancellation at this precision,
-        so it is reported as the canonical zero.
-        """
-        if self._max_exp2 is None or self._s == 0j:
-            return LogComplex.zero()
-        mag = abs(self._s)
-        max_at_anchor = math.ldexp(self._max_mag, min(self._max_exp2 - self._anchor, _SHIFT_LIMIT))
-        if mag <= rel_eps * max_at_anchor:
-            return LogComplex.zero()
-        return self.result()
-
-    def condition_log10(self) -> float:
-        """log10 of (sum of |terms|) / |result|; inf for a fully cancelled sum."""
-        if self._abs == 0.0:
-            return 0.0
-        mag = abs(self._s)
-        if mag == 0.0:
-            return math.inf
-        return math.log10(self._abs / mag)

@@ -3,17 +3,14 @@
 A network is an M x M unitary U mapping input modes to output modes; a state
 of N bosons on it is described by an occupation vector per side.  This module
 owns the validated matrix and occupation types, Haar-random network
-generation, enumeration of output configurations and of contingency tables
-with fixed margins, and the column-crossing counting polynomial used for flop
-accounting.
+generation and the enumeration of output configurations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -200,142 +197,3 @@ def enumerate_output_configs(modes: int, total: int) -> list:
 
     fill(0, total)
     return configs
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """M x M nonnegative integer matrix with prescribed row and column sums."""
-
-    entries: tuple
-    row_sums: Occupation
-    col_sums: Occupation
-
-    @classmethod
-    def from_entries(cls, entries) -> "ContingencyTable":
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
-        if any(v < 0 for row in rows for v in row):
-            raise ValueError("table entries must be nonnegative")
-        m = len(rows)
-        if any(len(row) != m for row in rows):
-            raise ValueError("table must be square")
-        row_sums = Occupation(tuple(sum(row) for row in rows))
-        col_sums = Occupation(tuple(sum(rows[k][l] for k in range(m)) for l in range(m)))
-        return cls(rows, row_sums, col_sums)
-
-    @property
-    def total(self) -> int:
-        return self.row_sums.total
-
-
-def enumerate_contingency_tables(n: Occupation, m: Occupation) -> Iterator[ContingencyTable]:
-    """Yield every nonnegative integer matrix with row sums n and column sums m.
-
-    Lazy, margin-respecting recursion: row k is filled with a bounded
-    composition of n_k, pruning branches where the remaining row total cannot
-    absorb the remaining column budget.  Each table is produced exactly once.
-    The number of tables grows exponentially with N, so only small-N oracles
-    should consume this exhaustively.
-    """
-    check_margins(n, m)
-    modes = n.modes
-    remaining_cols = list(m.counts)
-    rows_out = []
-
-    def fill_row(k: int):
-        if k == modes:
-            # margins hold by construction: the last row exhausts the columns
-            yield ContingencyTable(tuple(rows_out), n, m)
-            return
-        row = [0] * modes
-
-        def fill_cell(l: int, remaining: int):
-            if l == modes - 1:
-                if remaining <= remaining_cols[l]:
-                    row[l] = remaining
-                    remaining_cols[l] -= remaining
-                    rows_out.append(tuple(row))
-                    yield from fill_row(k + 1)
-                    rows_out.pop()
-                    remaining_cols[l] += remaining
-                    row[l] = 0
-                return
-            for v in range(min(remaining, remaining_cols[l]) + 1):
-                row[l] = v
-                remaining_cols[l] -= v
-                yield from fill_cell(l + 1, remaining - v)
-                remaining_cols[l] += v
-            row[l] = 0
-
-        yield from fill_cell(0, n.counts[k])
-
-    yield from fill_row(0)
-
-
-def count_contingency_tables(n: Occupation, m: Occupation) -> int:
-    """Exact table count by dynamic programming over column budgets."""
-    check_margins(n, m)
-    from functools import lru_cache
-
-    cols0 = tuple(m.counts)
-
-    @lru_cache(maxsize=None)
-    def count(k: int, cols: tuple) -> int:
-        if k == n.modes:
-            return 1 if all(c == 0 for c in cols) else 0
-        total = 0
-        target = n.counts[k]
-
-        def comps(l: int, remaining: int, acc: list):
-            nonlocal total
-            if l == len(cols) - 1:
-                if remaining <= cols[l]:
-                    new_cols = tuple(c - a for c, a in zip(cols, acc + [remaining]))
-                    total += count(k + 1, new_cols)
-                return
-            for v in range(min(remaining, cols[l]) + 1):
-                comps(l + 1, remaining - v, acc + [v])
-
-        comps(0, target, [])
-        return total
-
-    return count(0, cols0)
-
-
-def count_tables_by_crossed_columns(m: Occupation) -> list:
-    """Coefficients T_0..T_N of P(z) = prod_k (1 + z + ... + z^{m_k}).
-
-    T_R counts the ways to cross out R column duplicates in the reduced
-    inclusion-exclusion sum; the partial sum T_0 + ... + T_{N-1} equals
-    prod(m_k + 1) - 1, the number of terms the exact engine visits.
-    """
-    coeffs = [1]
-    for mk in m.counts:
-        factor = [1] * (mk + 1)
-        new = [0] * (len(coeffs) + mk)
-        for i, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            for j in range(mk + 1):
-                new[i + j] += a
-        coeffs = new
-    return coeffs
-
-
-def fisher_yates_probability(table: ContingencyTable) -> Fraction:
-    """Probability of a contingency table under independent margins.
-
-    Exact rational value: prod(n_k!) prod(m_l!) / (N! prod(S_kl!)).  Summed
-    over all tables with the same margins this is exactly 1.
-    """
-    n = table.row_sums
-    m = table.col_sums
-    num = 1
-    for c in n.counts:
-        num *= math.factorial(c)
-    for c in m.counts:
-        num *= math.factorial(c)
-    den = math.factorial(table.total)
-    for row in table.entries:
-        for v in row:
-            den *= math.factorial(v)
-    return Fraction(num, den)

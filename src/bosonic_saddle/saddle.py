@@ -18,9 +18,10 @@ survive, the one with the smallest contribution magnitude is kept.
 The square-root branch in 1/sqrt(det D') is not fixed by the leading-order
 algebra.  The principal branch is taken per saddle and a global +-1 per
 saddle orbit is calibrated once against the exact engine at the smallest
-boson number with the same margin fractions (conjugate-pair orbits share
-their sign so that parity cancellations stay exact).  Calibrations are cached
-per (network, fractions).
+boson number with the same margin fractions (conjugate-pair orbits, matched
+by `scaling.conjugate_pairs`, share their sign so that parity cancellations
+stay exact; sign choices that tie to rounding go to + before -).
+Calibrations are cached per (network, fractions).
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from .errors import (
 )
 from .exact import amplitude_exact, flop_estimate, log_factorial_norm
 from .hessian import det_dprime_schur, exponent_log
-from .logcomplex import LogComplex, ScaledComplexSum
+from .logcomplex import LogComplex
 from .network import NetworkMatrix, Occupation, check_margins
 from .scaling import (
     SaddleSolution,
     ScalingProblem,
+    conjugate_pairs,
     sinkhorn_scale_classical,
     solve_all_saddles,
 )
@@ -217,47 +219,6 @@ def _prefactor_log(n: Occupation, m: Occupation) -> float:
     return s - log_factorial_norm(n, m)
 
 
-def _conjugate_pair_order(contribs) -> list:
-    """Contributing terms, largest first, with conjugate pairs adjacent.
-
-    Adjacency makes the imaginary parts of a pair cancel exactly in the
-    compensated sum, which in turn lets parity-suppressed amplitudes come out
-    as the canonical zero.
-    """
-    active = [c for c in contribs if c.contributing]
-    order = sorted(
-        range(len(active)), key=lambda i: (-active[i].term.log_mag, i)
-    )
-    placed = [False] * len(active)
-    sequence = []
-    for i in order:
-        if placed[i]:
-            continue
-        sequence.append(active[i])
-        placed[i] = True
-        pi = active[i].solution.p
-        for j in order:
-            if placed[j]:
-                continue
-            if np.max(np.abs(pi.conj() - active[j].solution.p)) <= 1e-8:
-                sequence.append(active[j])
-                placed[j] = True
-                break
-    return sequence
-
-
-def _assemble(contribs) -> LogComplex:
-    acc = ScaledComplexSum()
-    for c in _conjugate_pair_order(contribs):
-        term = c.term if c.sign_choice == 1 else -c.term
-        acc.add(term)
-    return acc.result_with_snap(ZERO_SNAP_EPS)
-
-
-def _fingerprint_signs(contribs) -> tuple:
-    return tuple(c.sign_choice for c in contribs)
-
-
 def _reduced_margins(n: Occupation, m: Occupation):
     g = 0
     for c in list(n.counts) + list(m.counts):
@@ -270,25 +231,31 @@ def _reduced_margins(n: Occupation, m: Occupation):
 
 
 def _orbits(contribs) -> list:
-    """Group contributing saddles into conjugate-pair orbits (else singletons)."""
+    """The contributing saddles in conjugate-pair orbits (else singletons)."""
     active = [c for c in contribs if c.contributing]
-    orbits = []
-    used = [False] * len(active)
-    for i, c in enumerate(active):
-        if used[i]:
-            continue
-        group = [c]
-        used[i] = True
-        pi = c.solution.p
-        for j in range(i + 1, len(active)):
-            if used[j]:
-                continue
-            if np.max(np.abs(pi.conj() - active[j].solution.p)) <= 1e-8:
-                group.append(active[j])
-                used[j] = True
-                break
-        orbits.append(group)
-    return orbits
+    groups = conjugate_pairs([c.solution for c in active])
+    return [[active[i] for i in group] for group in groups]
+
+
+def _assemble(orbits) -> LogComplex:
+    """Sum of the signed terms, orbit by orbit.
+
+    The two terms of a conjugate pair on a real network are exact
+    conjugates, so their sum is exactly real and parity-suppressed amplitudes
+    cancel.  A total at or below ZERO_SNAP_EPS times the largest term is an
+    exact cancellation at this precision and comes back as the canonical zero.
+    """
+    total = LogComplex.zero()
+    largest = -math.inf
+    for group in orbits:
+        part = LogComplex.zero()
+        for c in group:
+            part = part + (c.term if c.sign_choice == 1 else -c.term)
+            largest = max(largest, c.term.log_mag)
+        total = total + part
+    if total.log_mag <= largest + math.log(ZERO_SNAP_EPS):
+        return LogComplex.zero()
+    return total
 
 
 def _match_sign(p: np.ndarray, table) -> Optional[int]:
@@ -298,7 +265,7 @@ def _match_sign(p: np.ndarray, table) -> Optional[int]:
     return None
 
 
-def _calibration_points(U, n_base: Occupation, m_base: Occupation, seed, starts):
+def _calibration_points(U, n_base: Occupation, m_base: Occupation):
     """Up to two (n, m, exact) tuples at small multiples of the base margins.
 
     Multiples whose exact amplitude is structurally suppressed (exact zero)
@@ -329,7 +296,7 @@ def _calibrate_signs(U, n_base, m_base, seed, starts):
     key = (U.entries.tobytes(), n_base.counts, m_base.counts)
     if key in _SIGN_CACHE:
         return _SIGN_CACHE[key]
-    points = _calibration_points(U, n_base, m_base, seed, starts)
+    points = _calibration_points(U, n_base, m_base)
     if not points:
         _SIGN_CACHE[key] = None
         return None
@@ -339,20 +306,19 @@ def _calibrate_signs(U, n_base, m_base, seed, starts):
             sols = solve_all_saddles(ScalingProblem(U, n_k, m_k), starts=starts, seed=seed)
         except NoConvergence:
             continue
-        contribs = select_contributing(sols)
-        orbits = _orbits(contribs)
+        orbits = _orbits(select_contributing(sols))
         pref = LogComplex.from_real_log(_prefactor_log(n_k, m_k))
-        evaluated.append((orbits, contribs, pref, exact))
+        evaluated.append((orbits, pref, exact))
     if not evaluated:
         _SIGN_CACHE[key] = None
         return None
     ref_orbits = evaluated[0][0]
     n_orbits = len(ref_orbits)
-    best = None
+    scored = []
     for mask in range(2 ** n_orbits):
         signs = [1 if not (mask >> i) & 1 else -1 for i in range(n_orbits)]
         err = 0.0
-        for orbits, contribs, pref, exact in evaluated:
+        for orbits, pref, exact in evaluated:
             for group in orbits:
                 sign = 1
                 # orbits are matched across points by the saddle matrix p,
@@ -365,12 +331,15 @@ def _calibrate_signs(U, n_base, m_base, seed, starts):
                         break
                 for c in group:
                     c.sign_choice = sign
-            approx = (pref * _assemble(contribs)).to_complex()
+            approx = (pref * _assemble(orbits)).to_complex()
             err += abs(approx - exact) / abs(exact)
-        rank = (err, tuple(0 if s == 1 else 1 for s in signs))
-        if best is None or rank < best[0]:
-            best = (rank, signs)
-    signs = best[1]
+        scored.append((err, signs))
+    # masks whose errors differ only by rounding are ties (e.g. a real saddle
+    # with det D' < 0 has a purely imaginary term, and flipping it leaves the
+    # error against a real exact value unchanged); the rule picks the first
+    # sign tuple, + before - orbit by orbit
+    least = min(err for err, _ in scored)
+    signs = max(signs for err, signs in scored if err <= least * (1.0 + 1e-9))
     table = []
     for i, group in enumerate(ref_orbits):
         for c in group:
@@ -385,7 +354,6 @@ def amplitude_approx(
     m: Occupation,
     seed: int = 0,
     starts: Optional[int] = None,
-    calibrate: bool = True,
 ) -> ApproxResult:
     """Leading-order saddle-point amplitude with diagnostics.
 
@@ -422,18 +390,17 @@ def amplitude_approx(
                 f"threshold {threshold:.3e}; leading-order result invalid",
                 diagnostics=diags,
             )
-    if calibrate:
-        n_base, m_base, factor = _reduced_margins(n, m)
-        table = _calibrate_signs(U, n_base, m_base, seed, starts)
-        if table is not None:
-            diags.calibrated = True
-            diags.calibration_total = n_base.total
-            for c in active:
-                sign = _match_sign(c.solution.p, table)
-                if sign is not None:
-                    c.sign_choice = sign
-    diags.signs = _fingerprint_signs(contribs)
-    total = _assemble(contribs)
+    n_base, m_base, _ = _reduced_margins(n, m)
+    table = _calibrate_signs(U, n_base, m_base, seed, starts)
+    if table is not None:
+        diags.calibrated = True
+        diags.calibration_total = n_base.total
+        for c in active:
+            sign = _match_sign(c.solution.p, table)
+            if sign is not None:
+                c.sign_choice = sign
+    diags.signs = tuple(c.sign_choice for c in contribs)
+    total = _assemble(_orbits(contribs))
     amplitude = LogComplex.from_real_log(_prefactor_log(n, m)) * total
     return ApproxResult(amplitude=amplitude, diagnostics=diags)
 

@@ -16,8 +16,11 @@ system of M-1 bilinear equations in the ratios R_k = sqrt(n_M/n_k) x_k/x_M
 
 All solutions are needed; they are found by multi-start damped Newton on the
 realified system, deduplicated in the gauge-invariant p = X U Y matrix, and
-gauge-fixed so x_1 = sqrt(n_1/N) > 0.  The classical analogue (positive
-matrix |U|^2) has a unique positive solution found by Sinkhorn iteration.
+gauge-fixed so x_1 = sqrt(n_1/N) > 0.  On a real U they come in conjugate
+pairs, which `conjugate_pairs` matches, both for the solver (to make each
+pair exactly conjugate) and for the saddle assembly.  The classical analogue
+(positive matrix |U|^2) has a unique positive solution found by Sinkhorn
+iteration.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .hessian import contribution_log_mag
 from .network import NetworkMatrix, Occupation, check_margins
 
 SOLVER_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 DEDUP_TOL = 1e-8
 DEGENERATE_P_TOL = 1e-12
 
@@ -102,9 +106,6 @@ class SaddleSolution:
         row = np.max(np.abs(self.p.sum(axis=1) - self.n_frac()))
         col = np.max(np.abs(self.p.sum(axis=0) - self.m_frac()))
         return float(max(row, col))
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.p.imag)) <= tol)
 
     def conjugated(self) -> "SaddleSolution":
         return SaddleSolution(
@@ -183,7 +184,7 @@ def _to_real(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag])
 
 
-def _newton_start(system: ReducedSystem, r0: np.ndarray, tol: float, max_iter: int):
+def _newton_start(system: ReducedSystem, r0: np.ndarray):
     """Damped Newton on the realified system; returns converged ratios or None.
 
     The complex residual F and its complex Jacobian J are holomorphic in R;
@@ -194,8 +195,8 @@ def _newton_start(system: ReducedSystem, r0: np.ndarray, tol: float, max_iter: i
     k = len(r)
     f = system.residual(r)
     f2 = float(np.sum(np.abs(f) ** 2))
-    for _ in range(max_iter):
-        if np.max(np.abs(f)) <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if np.max(np.abs(f)) <= SOLVER_TOL:
             break
         jc = system.jacobian(r)
         j_real = np.block(
@@ -220,7 +221,7 @@ def _newton_start(system: ReducedSystem, r0: np.ndarray, tol: float, max_iter: i
             alpha *= 0.5
         else:
             return None
-    if np.max(np.abs(f)) > tol:
+    if np.max(np.abs(f)) > SOLVER_TOL:
         return None
     # polish: a few undamped steps sharpen the root to machine precision
     for _ in range(3):
@@ -277,40 +278,29 @@ def canonicalize_and_dedup(solutions, dedup_tol: float = DEDUP_TOL):
     return kept
 
 
-def _symmetrize_conjugate_pairs(solutions, tol: float = DEDUP_TOL):
-    """For real matrices, make conjugate saddle pairs exactly conjugate.
+def conjugate_pairs(solutions) -> list:
+    """Index groups of the solutions: conjugate pairs, otherwise singletons.
 
-    Roots of the reduced system come in conjugate pairs when U is real; tying
-    the pair together bit-for-bit lets downstream parity cancellations (the
-    generalized two-boson dip) come out exactly zero instead of at rounding
-    level.
+    j joins i (i < j) when p_j == conj(p_i) to DEDUP_TOL in max-norm; each
+    index is in one group, and groups come in the order of their first
+    member.  On a real network the saddles come in such pairs; this is the
+    one place they are matched.
     """
-    used = [False] * len(solutions)
-    out = list(solutions)
-
-    def orientation(p: np.ndarray) -> float:
-        for v in p.flatten():
-            if abs(v.imag) > tol:
-                return v.imag
-        return 0.0
-
-    for i in range(len(out)):
-        if used[i]:
+    groups = []
+    paired = set()
+    for i, sol in enumerate(solutions):
+        if i in paired:
             continue
-        pi = out[i].p
-        if np.max(np.abs(pi - pi.conj())) <= tol:
-            continue  # essentially real: self-conjugate
-        for j in range(i + 1, len(out)):
-            if used[j]:
+        group = [i]
+        for j in range(i + 1, len(solutions)):
+            if j in paired:
                 continue
-            if np.max(np.abs(pi.conj() - out[j].p)) <= tol:
-                # deterministic orientation: the representative is the member
-                # whose first significantly imaginary p entry is positive
-                rep, other = (i, j) if orientation(pi) > 0 else (j, i)
-                out[other] = out[rep].conjugated()
-                used[i] = used[j] = True
+            if np.max(np.abs(sol.p.conj() - solutions[j].p)) <= DEDUP_TOL:
+                group.append(j)
+                paired.add(j)
                 break
-    return out
+        groups.append(group)
+    return groups
 
 
 def default_start_count(modes: int) -> int:
@@ -322,9 +312,6 @@ def solve_all_saddles(
     problem: ScalingProblem,
     starts: int | None = None,
     seed: int = 0,
-    tol: float = SOLVER_TOL,
-    max_iter: int = 100,
-    dedup_tol: float = DEDUP_TOL,
 ):
     """Multi-start Newton over random initial ratios; all distinct roots found.
 
@@ -353,7 +340,7 @@ def solve_all_saddles(
             # unit-modulus starts match the dominant oscillatory solutions but
             # miss real decay-regime roots off the unit circle; jitter the radii
             r0 = r0 * np.exp(rng.uniform(-1.5, 1.5, modes - 1))
-        root = _newton_start(system, r0, tol, max_iter)
+        root = _newton_start(system, r0)
         if root is None:
             continue
         # cheap R-space dedup before the expensive recovery
@@ -362,13 +349,13 @@ def solve_all_saddles(
         roots.append(root)
     if not roots:
         raise NoConvergence(
-            f"no scaling solutions found in {starts} starts (tol={tol:g})"
+            f"no scaling solutions found in {starts} starts (tol={SOLVER_TOL:g})"
         )
     recovered = []
     degenerate = 0
     for root in roots:
         sol = system.recover(root)
-        if sol.residual > 10 * tol:
+        if sol.residual > 10 * SOLVER_TOL:
             continue
         if np.min(np.abs(sol.p)) <= DEGENERATE_P_TOL:
             degenerate += 1
@@ -381,9 +368,17 @@ def solve_all_saddles(
                 "the saddle-point exponent is undefined here"
             )
         raise NoConvergence("no scaling solutions satisfied the residual tolerance")
-    sols = canonicalize_and_dedup(recovered, dedup_tol)
+    sols = canonicalize_and_dedup(recovered)
     if problem.U.is_real:
-        sols = _symmetrize_conjugate_pairs(sols, dedup_tol)
+        # tie each pair together bit for bit, so that parity cancellations
+        # downstream come out exactly zero; the representative is the member
+        # whose first significantly imaginary p entry is positive
+        for group in conjugate_pairs(sols):
+            if len(group) == 2:
+                i, j = group
+                lead = next((v.imag for v in sols[i].p.flat if abs(v.imag) > DEDUP_TOL), 0.0)
+                rep, other = (i, j) if lead > 0 else (j, i)
+                sols[other] = sols[rep].conjugated()
     sols.sort(
         key=lambda s: (
             -contribution_log_mag(s.x, s.y, s.p, s.n_counts, s.m_counts),

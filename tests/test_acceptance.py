@@ -22,7 +22,6 @@ from bosonic_saddle import (
     amplitude_approx,
     amplitude_exact,
     amplitude_exact_bs,
-    amplitude_via_contingency_average,
     beam_splitter,
     bell_classical_probability,
     classify_regime,
@@ -39,6 +38,7 @@ from bosonic_saddle.exact import _permanent_repeated_raw
 from bosonic_saddle.hessian import det_dprime_schur
 
 from helpers import (
+    amplitude_via_contingency_average,
     permanent_assignment_sum,
     permanent_permutation_sum,
     rel_error,

@@ -11,39 +11,37 @@ from bosonic_saddle import (
     RepeatedMatrixSpec,
     TooLarge,
     amplitude_exact,
-    amplitude_via_contingency_average,
     bell_classical_probability,
     classical_probability,
-    enumerate_contingency_tables,
     enumerate_output_configs,
-    fisher_yates_probability,
     flop_estimate,
     haar_random_unitary,
-    permanent_naive,
     permanent_ryser_repeated,
     permanent_ryser_repeated_with_stats,
     validate_unitary,
 )
 from bosonic_saddle.exact import _permanent_repeated_raw
 
-from helpers import permanent_permutation_sum, rel_error, rel_error_c
+from helpers import (
+    amplitude_via_contingency_average,
+    enumerate_contingency_tables,
+    fisher_yates_probability,
+    permanent_permutation_sum,
+    rel_error,
+    rel_error_c,
+)
 
 
 def test_naive_all_ones():
-    assert permanent_naive([[1, 1], [1, 1]]).to_complex() == 2
+    assert permanent_permutation_sum(np.ones((2, 2), dtype=complex)) == 2
 
 
 def test_naive_identity():
-    assert permanent_naive(np.eye(3)).to_complex() == 1
+    assert permanent_permutation_sum(np.eye(3, dtype=complex)) == 1
 
 
 def test_naive_beam_splitter_itself_cancels(bs):
-    assert permanent_naive(bs.entries).to_complex() == 0
-
-
-def test_naive_size_guard():
-    with pytest.raises(TooLarge):
-        permanent_naive(np.eye(11))
+    assert permanent_permutation_sum(bs.entries) == 0
 
 
 def test_ryser_hom_is_exactly_zero(bs):
@@ -60,7 +58,7 @@ def test_ryser_matches_naive_on_haar_7x7():
     u = haar_random_unitary(3, 1)
     spec = RepeatedMatrixSpec(u, Occupation.of(3, 2, 2), Occupation.of(2, 3, 2))
     got = permanent_ryser_repeated(spec).to_complex()
-    want = permanent_naive(spec.materialize()).to_complex()
+    want = permanent_permutation_sum(spec.materialize())
     assert rel_error_c(got, want) <= 1e-10
 
 

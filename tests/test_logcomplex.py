@@ -1,12 +1,12 @@
 import cmath
 import math
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonic_saddle import LogComplex, ScaledComplexSum
+from bosonic_saddle import LogComplex
 
 
 @given(
@@ -91,42 +91,14 @@ def test_conj_and_neg():
     assert (-a).to_complex() == -(1 + 2j)
 
 
-def test_accumulator_matches_fsum():
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    acc = ScaledComplexSum()
-    for v in vals:
-        acc.add_scaled(complex(v), 0)
-    got = acc.result().to_complex()
-    want = complex(math.fsum(vals.real), math.fsum(vals.imag))
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_accumulator_spans_huge_dynamic_range():
-    acc = ScaledComplexSum()
-    acc.add(LogComplex.from_log_polar(800.0, 0.0))
-    acc.add(LogComplex.from_log_polar(-800.0, 0.0))
-    res = acc.result()
-    assert res.log_mag == pytest.approx(800.0)
-    assert acc.max_term_log() == pytest.approx(800.0)
-
-
 def test_accumulator_zero_snap():
-    acc = ScaledComplexSum()
-    acc.add(LogComplex.from_complex(1.0 + 0j))
-    acc.add(LogComplex.from_complex(-1.0 + 1e-15j))
-    snapped = acc.result_with_snap(1e-12)
-    assert snapped.is_zero
+    # the saddle assembly sums LogComplex terms and snaps a total at or below
+    # 1e-12 of its largest term to the canonical zero
+    from bosonic_saddle.saddle import _assemble
+
+    def singletons(*values):
+        return [[SimpleNamespace(term=LogComplex.from_complex(v), sign_choice=1)] for v in values]
+
+    assert _assemble(singletons(1.0 + 0j, -1.0 + 1e-15j)).is_zero
     # a genuine small remainder above the threshold survives
-    acc2 = ScaledComplexSum()
-    acc2.add(LogComplex.from_complex(1.0 + 0j))
-    acc2.add(LogComplex.from_complex(-1.0 + 1e-9j))
-    assert not acc2.result_with_snap(1e-12).is_zero
-
-
-def test_accumulator_condition_estimate():
-    acc = ScaledComplexSum()
-    acc.add_scaled(1.0 + 0j, 0)
-    acc.add_scaled(-(1.0 + 0j), 0)
-    acc.add_scaled(complex(1e-8), 0)
-    assert acc.condition_log10() == pytest.approx(math.log10(2e8 + 1), rel=1e-6)
+    assert not _assemble(singletons(1.0 + 0j, -1.0 + 1e-9j)).is_zero

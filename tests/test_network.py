@@ -12,15 +12,18 @@ from bosonic_saddle import (
     NotUnitary,
     Occupation,
     beam_splitter,
-    count_contingency_tables,
-    count_tables_by_crossed_columns,
-    enumerate_contingency_tables,
     enumerate_output_configs,
-    fisher_yates_probability,
     haar_random_unitary,
     output_config_count,
     tritter,
     validate_unitary,
+)
+
+from helpers import (
+    count_contingency_tables,
+    count_tables_by_crossed_columns,
+    enumerate_contingency_tables,
+    fisher_yates_probability,
 )
 
 

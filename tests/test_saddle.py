@@ -20,6 +20,7 @@ from bosonic_saddle import (
     bell_classical_probability,
     classical_probability,
     classical_probability_approx,
+    conjugate_pairs,
     det_Dprime,
     haar_random_unitary,
     mortici_theta,
@@ -271,21 +272,63 @@ def test_amplitude_approx_matches_closed_form_assembly(bs):
     # the general solver pipeline and the closed-form saddles/determinant
     # must assemble to the same value
     from bosonic_saddle.hessian import exponent_log
-    from bosonic_saddle.logcomplex import LogComplex, ScaledComplexSum
+    from bosonic_saddle.logcomplex import LogComplex
     from bosonic_saddle.saddle import _prefactor_log, _sqrt_log
 
     n = _occ(9, 21)
     m = _occ(13, 17)
     res = amplitude_approx(bs, n, m, seed=0, starts=50)
     case = BeamSplitterCase.from_occupations(n, m)
-    acc = ScaledComplexSum()
+    total = LogComplex.zero()
     for idx, sol in enumerate(analytic_saddles(case)):
         term = exponent_log(sol.x, sol.y, n.counts, m.counts) / _sqrt_log(
             analytic_det(case, idx)
         )
-        acc.add(term)
-    closed = LogComplex.from_real_log(_prefactor_log(n, m)) * acc.result()
+        total = total + term
+    closed = LogComplex.from_real_log(_prefactor_log(n, m)) * total
     assert rel_error_c(res.amplitude.to_complex(), closed.to_complex()) <= 1e-10
+
+
+def _real_orthogonal(dim, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return validate_unitary(q * np.sign(np.diag(r)))
+
+
+def test_conjugate_pairs_are_exact_and_shared_with_the_orbits():
+    from bosonic_saddle.saddle import _orbits
+
+    u = _real_orthogonal(4, 3)
+    sols = solve_all_saddles(ScalingProblem(u, _occ(2, 2, 1, 1), _occ(1, 2, 1, 2)), seed=0)
+    groups = conjugate_pairs(sols)
+    assert sorted(i for g in groups for i in g) == list(range(len(sols)))
+    pairs = [g for g in groups if len(g) == 2]
+    real = [i for i, s in enumerate(sols) if np.max(np.abs(s.p.imag)) <= 1e-9]
+    assert pairs and len(real) >= 2
+    for i, j in pairs:
+        assert np.array_equal(sols[j].p, sols[i].p.conj())
+    assert all([i] in groups for i in real)
+    contribs = select_contributing(sols)
+    assert not all(c.contributing for c in contribs)  # the restriction matters
+    want = [
+        [id(sols[i]) for i in g if contribs[i].contributing]
+        for g in groups
+        if any(contribs[i].contributing for i in g)
+    ]
+    got = [[id(c.solution) for c in orbit] for orbit in _orbits(contribs)]
+    assert got == want
+
+
+def test_calibration_ties_take_the_first_sign_tuple():
+    # a real saddle with det D' < 0 has a purely imaginary term; against the
+    # real exact value both of its signs fit equally well, so the choice must
+    # follow the rule (+ first), not the last bit of the summation
+    u = _real_orthogonal(3, 1)
+    occ = _occ(3, 3, 3)
+    res = amplitude_approx(u, occ, occ)
+    assert res.diagnostics.calibrated
+    assert res.diagnostics.signs == (1,) * 6
+    want = 0.01582077271809142 + 0.054709511747946915j
+    assert rel_error_c(res.amplitude.to_complex(), want) <= 1e-12
 
 
 def test_amplitude_approx_inversion_symmetry():
