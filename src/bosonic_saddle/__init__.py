@@ -68,7 +68,6 @@ from .scaling import (
     build_reduced_system,
     canonicalize_and_dedup,
     conjugate_pairs,
-    default_start_count,
     sinkhorn_scale_classical,
     solve_all_saddles,
 )

@@ -1,9 +1,11 @@
 """Command-line front end: amplitude queries, scans, error sweeps, benchmarks.
 
-Subcommands: amplitude, scan, error-sweep, saddles, bench.  All outputs are
-deterministic for fixed seed and flags (wall-time fields excepted, by
-nature).  JSON records carry "schema": "v1"; CSV output starts with a
-versioned header comment.  Exit codes: 0 ok, 2 input error, 3 coalescing
+Subcommands: amplitude, scan, error-sweep, saddles, bench.  The saddles
+come from one deterministic homotopy that tracks C(2M-2, M-1) paths and
+finds all isolated roots, so there is no seed or start count to set, and
+all outputs are deterministic (wall-time fields excepted, by nature).
+JSON records carry "schema": "v1"; CSV output starts with a versioned
+header comment.  Exit codes: 0 ok, 2 input error, 3 coalescing
 saddles flagged, 4 no saddles found.  Sweep rows run one after another:
 the work is pure Python and holds the GIL, so threads would buy nothing.
 """
@@ -123,7 +125,7 @@ def cmd_amplitude(args) -> int:
                 raise CoalescingSaddles(
                     "beam-splitter margins lie in the coalescing band", diagnostics=None
                 )
-            res = amplitude_approx(matrix, n, m, seed=args.seed, starts=args.starts)
+            res = amplitude_approx(matrix, n, m)
             results["approx"] = _value_record(res.amplitude)
             results["approx"]["diagnostics"] = _diag_record(res.diagnostics, regime)
         except CoalescingSaddles as exc:
@@ -196,7 +198,7 @@ def cmd_scan(args) -> int:
             row.update(exact_re=z.real, exact_im=z.imag, exact_prob=abs(z) ** 2)
         if args.method in ("approx", "both"):
             try:
-                res = amplitude_approx(matrix, n, m, seed=args.seed, starts=args.starts)
+                res = amplitude_approx(matrix, n, m)
                 z = res.amplitude.to_complex()
                 row.update(approx_re=z.real, approx_im=z.imag, approx_prob=abs(z) ** 2)
             except EmptyMode:
@@ -211,7 +213,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(matrix, n, m, seed, starts):
+def _sweep_row(matrix, n, m):
     total = n.total
     row = {
         "N": total,
@@ -253,7 +255,7 @@ def _sweep_row(matrix, n, m, seed, starts):
         return row
     try:
         t0 = time.perf_counter()
-        res = amplitude_approx(matrix, n, m, seed=seed, starts=starts)
+        res = amplitude_approx(matrix, n, m)
         row["wall_time_approx"] = time.perf_counter() - t0
     except CoalescingSaddles:
         row["flag"] = "coalescing"
@@ -292,7 +294,7 @@ def cmd_error_sweep(args) -> int:
         m = occupation_from_fractions(out_fracs, total)
         if n is None or m is None:
             continue  # fractions do not give integers at this N
-        rows.append(_sweep_row(matrix, n, m, args.seed, args.starts))
+        rows.append(_sweep_row(matrix, n, m))
     out = sys.stdout
     print(SWEEP_HEADER, file=out)
     cols = [
@@ -313,9 +315,7 @@ def cmd_saddles(args) -> int:
     n = parse_occupation(args.in_occ)
     m = parse_occupation(args.out_occ)
     try:
-        sols = solve_all_saddles(
-            ScalingProblem(matrix, n, m), starts=args.starts, seed=args.seed
-        )
+        sols = solve_all_saddles(ScalingProblem(matrix, n, m))
     except (NoConvergence, DegenerateSaddle) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc), "saddles": []}))
         return EXIT_NO_SADDLES
@@ -410,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--matrix", required=True, help="matrix file (.json or .csv)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--starts", type=int, default=None, help="solver start count")
 
     p = sub.add_parser("amplitude", help="one transition amplitude")
     add_common(p)

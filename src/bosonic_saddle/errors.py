@@ -26,7 +26,7 @@ class TooLarge(BosonicSaddleError):
 
 
 class NoConvergence(BosonicSaddleError):
-    """Multi-start solver produced no converged roots."""
+    """The homotopy solver lost a path or kept no converged root."""
 
 
 class NoSaddlesFound(BosonicSaddleError):

@@ -46,6 +46,7 @@ from .hessian import det_dprime_schur, exponent_log
 from .logcomplex import LogComplex
 from .network import NetworkMatrix, Occupation, check_margins
 from .scaling import (
+    REAL_P_TOL,
     SaddleSolution,
     ScalingProblem,
     conjugate_pairs,
@@ -59,7 +60,6 @@ COALESCENCE_DET_FACTOR = 1e-3
 ZERO_SNAP_EPS = 1e-12
 # two forms of det(D') must agree to this relative tolerance
 DET_FORM_TOL = 1e-10
-_REAL_P_TOL = 1e-9
 
 _CALIBRATION_FLOP_LIMIT = 10**8
 _CALIBRATION_N_LIMIT = 64
@@ -169,7 +169,7 @@ def select_contributing(solutions) -> list:
     real_saddles = []
     for c in contribs:
         p = c.solution.p
-        if np.max(np.abs(p.imag)) > _REAL_P_TOL:
+        if np.max(np.abs(p.imag)) > REAL_P_TOL:
             c.contributing = True
             continue
         real_saddles.append(c)
@@ -178,8 +178,8 @@ def select_contributing(solutions) -> list:
             c
             for c in real_saddles
             if bool(
-                np.all(c.solution.p.real >= -_REAL_P_TOL)
-                and np.all(c.solution.p.real <= 1.0 + _REAL_P_TOL)
+                np.all(c.solution.p.real >= -REAL_P_TOL)
+                and np.all(c.solution.p.real <= 1.0 + REAL_P_TOL)
             )
         ]
         pool = inside if inside else real_saddles
@@ -287,7 +287,7 @@ def _calibration_points(U, n_base: Occupation, m_base: Occupation):
     return points
 
 
-def _calibrate_signs(U, n_base, m_base, seed, starts):
+def _calibrate_signs(U, n_base, m_base):
     """Choose the per-orbit sign of 1/sqrt(det) against the exact engine.
 
     Returns a list of (p, sign) pairs keyed by the gauge-invariant saddle
@@ -303,7 +303,7 @@ def _calibrate_signs(U, n_base, m_base, seed, starts):
     evaluated = []
     for n_k, m_k, exact in points:
         try:
-            sols = solve_all_saddles(ScalingProblem(U, n_k, m_k), starts=starts, seed=seed)
+            sols = solve_all_saddles(ScalingProblem(U, n_k, m_k))
         except NoConvergence:
             continue
         orbits = _orbits(select_contributing(sols))
@@ -348,13 +348,7 @@ def _calibrate_signs(U, n_base, m_base, seed, starts):
     return table
 
 
-def amplitude_approx(
-    U: NetworkMatrix,
-    n: Occupation,
-    m: Occupation,
-    seed: int = 0,
-    starts: Optional[int] = None,
-) -> ApproxResult:
+def amplitude_approx(U: NetworkMatrix, n: Occupation, m: Occupation) -> ApproxResult:
     """Leading-order saddle-point amplitude with diagnostics.
 
     Requires every input and output mode to hold at least one boson.  Raises
@@ -368,7 +362,7 @@ def amplitude_approx(
     if not (n.strictly_positive and m.strictly_positive):
         raise EmptyMode("the approximation needs at least one boson per mode")
     try:
-        sols = solve_all_saddles(ScalingProblem(U, n, m), starts=starts, seed=seed)
+        sols = solve_all_saddles(ScalingProblem(U, n, m))
     except NoConvergence as exc:
         raise NoSaddlesFound(str(exc)) from exc
     contribs = select_contributing(sols)
@@ -391,7 +385,7 @@ def amplitude_approx(
                 diagnostics=diags,
             )
     n_base, m_base, _ = _reduced_margins(n, m)
-    table = _calibrate_signs(U, n_base, m_base, seed, starts)
+    table = _calibrate_signs(U, n_base, m_base)
     if table is not None:
         diags.calibrated = True
         diags.calibration_total = n_base.total

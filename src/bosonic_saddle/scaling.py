@@ -14,8 +14,13 @@ system of M-1 bilinear equations in the ratios R_k = sqrt(n_M/n_k) x_k/x_M
     (sum_k R_k Z^l_k)(sum_q conj(Z^l_q) / R_q) = m_l / N,
     Z^l_k = sqrt(n_k/N) U_kl,          l = 1..M-1.
 
-All solutions are needed; they are found by multi-start damped Newton on the
-realified system, deduplicated in the gauge-invariant p = X U Y matrix, and
+All solutions are needed.  With S_k = 1/R_k as further unknowns every
+equation is bilinear in (R, S), so the system has at most C(2M-2, M-1)
+isolated roots (the 2-homogeneous Bezout number: 2, 6 and 20 for M = 2, 3,
+4), and generic margins give exactly that many.  One homotopy from a
+linear-product start system with that many roots tracks all of them as a
+numpy batch, so all isolated roots are found, without random starts.  The
+roots are deduplicated in the gauge-invariant p = X U Y matrix and
 gauge-fixed so x_1 = sqrt(n_1/N) > 0.  On a real U they come in conjugate
 pairs, which `conjugate_pairs` matches, both for the solver (to make each
 pair exactly conjugate) and for the saddle assembly.  The classical analogue
@@ -25,6 +30,7 @@ iteration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,9 +46,20 @@ from .hessian import contribution_log_mag
 from .network import NetworkMatrix, Occupation, check_margins
 
 SOLVER_TOL = 1e-12
-NEWTON_MAX_ITER = 100
 DEDUP_TOL = 1e-8
 DEGENERATE_P_TOL = 1e-12
+# a saddle whose p has no imaginary part above this is real
+REAL_P_TOL = 1e-9
+
+# homotopy tracking; the seed draws the start system and gamma
+HOMOTOPY_SEED = 1987
+MAX_STEP = 0.2
+MIN_STEP = 1e-10
+TRACK_MAX_STEPS = 2000
+CORRECTOR_STEPS = 3
+CORRECTOR_TOL = 1e-6
+ENDGAME_T = 1.0 - 1e-4
+ENDGAME_NEWTON = 30
 
 
 @dataclass(frozen=True)
@@ -59,10 +76,6 @@ class ScalingProblem:
             raise EmptyMode("occupation length must equal the matrix dimension")
         if not (self.n.strictly_positive and self.m.strictly_positive):
             raise EmptyMode("matrix scaling requires at least one boson per mode")
-
-    @property
-    def total(self) -> int:
-        return self.n.total
 
     def n_frac(self) -> np.ndarray:
         return self.n.fractions()
@@ -128,32 +141,18 @@ class ReducedSystem:
     m_target: np.ndarray  # (M-1,): m_l / N
     sqrt_n_frac: np.ndarray  # (M,)
 
-    def full_ratios(self, r_reduced: np.ndarray) -> np.ndarray:
-        return np.concatenate([r_reduced, [1.0 + 0j]])
-
     def residual(self, r_reduced: np.ndarray) -> np.ndarray:
-        r = self.full_ratios(r_reduced)
+        r = np.append(r_reduced, 1.0 + 0j)
         a = self.Z @ r
         b = self.Z.conj() @ (1.0 / r)
         return a * b - self.m_target
 
-    def jacobian(self, r_reduced: np.ndarray) -> np.ndarray:
-        r = self.full_ratios(r_reduced)
-        a = self.Z @ r
-        b = self.Z.conj() @ (1.0 / r)
-        modes = self.problem.U.dim
-        zr = self.Z[:, : modes - 1]
-        jac = zr * b[:, None] - (a[:, None] * zr.conj()) / (r_reduced[None, :] ** 2)
-        return jac
-
     def recover(self, r_reduced: np.ndarray) -> SaddleSolution:
         """Build (x, y, p) from converged ratios, in the lam = 1 gauge."""
         problem = self.problem
-        r = self.full_ratios(r_reduced)
-        x = r * self.sqrt_n_frac
+        x = np.append(r_reduced, 1.0 + 0j) * self.sqrt_n_frac
         u = problem.U.entries
-        n_frac = problem.n_frac()
-        y = u.conj().T @ (n_frac / x)
+        y = u.conj().T @ (problem.n_frac() / x)
         p = x[:, None] * u * y[None, :]
         sol = SaddleSolution(
             x=x,
@@ -168,76 +167,108 @@ class ReducedSystem:
 
 
 def build_reduced_system(problem: ScalingProblem) -> ReducedSystem:
-    n_frac = problem.n_frac()
-    u = problem.U.entries
-    sqrt_n = np.sqrt(n_frac).astype(complex)
-    z = (sqrt_n[:, None] * u).T[: problem.U.dim - 1]  # Z[l, k]
-    return ReducedSystem(
-        problem=problem,
-        Z=z,
-        m_target=problem.m_frac()[: problem.U.dim - 1],
-        sqrt_n_frac=sqrt_n,
-    )
+    sqrt_n = np.sqrt(problem.n_frac()).astype(complex)
+    z = (sqrt_n[:, None] * problem.U.entries).T[:-1]  # Z[l, k]
+    return ReducedSystem(problem, z, problem.m_frac()[:-1], sqrt_n)
 
 
-def _to_real(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
+def _bilinear(a, b, c, z):
+    """Values and Jacobians of (a_i . R~)(b_i . S~) - c_i at points z (P, 2K).
 
-
-def _newton_start(system: ReducedSystem, r0: np.ndarray):
-    """Damped Newton on the realified system; returns converged ratios or None.
-
-    The complex residual F and its complex Jacobian J are holomorphic in R;
-    the real formulation solves [[Re J, -Im J], [Im J, Re J]] on
-    (Re dR, Im dR), with backtracking on |F|^2.
+    A row of z is (R_1..R_K, S_1..S_K); R~ and S~ append R_M = S_M = 1.
     """
-    r = r0.astype(complex)
-    k = len(r)
-    f = system.residual(r)
-    f2 = float(np.sum(np.abs(f) ** 2))
-    for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(f)) <= SOLVER_TOL:
-            break
-        jc = system.jacobian(r)
-        j_real = np.block(
-            [[jc.real, -jc.imag], [jc.imag, jc.real]]
-        )
-        try:
-            step = np.linalg.solve(j_real, -_to_real(f))
-        except np.linalg.LinAlgError:
-            return None
-        dz = step[:k] + 1j * step[k:]
-        alpha = 1.0
-        for _ in range(30):
-            r_new = r + alpha * dz
-            if np.any(np.abs(r_new) < 1e-8) or np.any(np.abs(r_new) > 1e8):
-                alpha *= 0.5
-                continue
-            f_new = system.residual(r_new)
-            f2_new = float(np.sum(np.abs(f_new) ** 2))
-            if f2_new <= (1.0 - 1e-4 * alpha) * f2:
-                r, f, f2 = r_new, f_new, f2_new
+    k = z.shape[1] // 2
+    alpha = z[:, :k] @ a[:, :k].T + a[:, k]
+    beta = z[:, k:] @ b[:, :k].T + b[:, k]
+    jac = np.concatenate([a[:, :k] * beta[..., None], b[:, :k] * alpha[..., None]], axis=2)
+    return alpha * beta - c, jac
+
+
+def _solve(jac, rhs):
+    """Batched jac^-1 rhs; a singular matrix gives a NaN row, not an error."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(rhs) == 1:
+            return np.full(rhs.shape, np.nan + 0j)
+        return np.concatenate([_solve(j[None], r[None]) for j, r in zip(jac, rhs)])
+
+
+def _track(system: ReducedSystem) -> np.ndarray:
+    """Endpoints R (P, K) of the paths of H = (1-t) gamma G + t F, t: 0 -> 1.
+
+    F is the reduced system in R and S = 1/R: (Z_l . R~)(conj(Z_l) . S~) =
+    m_l/N and R_k S_k = 1.  G_i = (a_i . R~)(b_i . S~) has a root for each
+    choice of the K equations whose a-factor vanishes.  Each path steps on
+    its own: Euler predictor, CORRECTOR_STEPS Newton corrections, the step
+    doubled on success (up to MAX_STEP) and halved on failure.  A path that
+    stalls beyond ENDGAME_T (paths meeting at a double root of F) is
+    finished by Newton on F; any other failure raises NoConvergence.
+    """
+    k = len(system.m_target)
+    rng = np.random.default_rng(HOMOTOPY_SEED)
+    shape = (2 * k, k + 1)
+    ga, gb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+    gamma = np.exp(2j * math.pi * rng.uniform())
+
+    def vanish(rows):  # the v with rows . (v, 1) = 0
+        return np.linalg.solve(rows[:, :k], -rows[:, k])
+
+    z = np.array([
+        np.concatenate([vanish(ga[list(rows)]), vanish(np.delete(gb, rows, axis=0))])
+        for rows in itertools.combinations(range(2 * k), k)
+    ])
+    eye = np.eye(k, k + 1)
+    a, b = np.vstack([ga, system.Z, eye]), np.vstack([gb, system.Z.conj(), eye])
+    c = np.concatenate([np.zeros(2 * k), system.m_target, np.ones(k)])
+
+    def homotopy(z, t):
+        """H, dH/dz and dH/dt at points z and times t."""
+        value, jac = _bilinear(a, b, c, z)
+        w, s = (1.0 - t)[:, None] * gamma, t[:, None]
+        g, f = value[:, : 2 * k], value[:, 2 * k :]
+        jac_h = w[..., None] * jac[:, : 2 * k] + s[..., None] * jac[:, 2 * k :]
+        return w * g + s * f, jac_h, f - gamma * g
+
+    paths = len(z)
+    t, step = np.zeros(paths), np.full(paths, MAX_STEP)
+    live, failed = np.ones(paths, dtype=bool), np.zeros(paths, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(TRACK_MAX_STEPS):
+            idx = np.flatnonzero(live)
+            if not len(idx):
                 break
-            alpha *= 0.5
-        else:
-            return None
-    if np.max(np.abs(f)) > SOLVER_TOL:
-        return None
-    # polish: a few undamped steps sharpen the root to machine precision
-    for _ in range(3):
-        jc = system.jacobian(r)
-        j_real = np.block([[jc.real, -jc.imag], [jc.imag, jc.real]])
-        try:
-            step = np.linalg.solve(j_real, -_to_real(f))
-        except np.linalg.LinAlgError:
-            break
-        r_new = r + (step[:k] + 1j * step[k:])
-        f_new = system.residual(r_new)
-        if float(np.max(np.abs(f_new))) < float(np.max(np.abs(f))):
-            r, f = r_new, f_new
-        else:
-            break
-    return r
+            t0, z0 = t[idx], z[idx]
+            t1 = np.minimum(t0 + step[idx], 1.0)
+            _, jac, dh_dt = homotopy(z0, t0)
+            z1 = z0 - (t1 - t0)[:, None] * _solve(jac, dh_dt)
+            for _ in range(CORRECTOR_STEPS):
+                value, jac, _ = homotopy(z1, t1)
+                delta = _solve(jac, value)
+                z1 = z1 - delta
+            ok = np.abs(delta).max(-1) <= CORRECTOR_TOL * (1.0 + np.abs(z1).max(-1))
+            good, bad = idx[ok], idx[~ok]
+            t[good], z[good] = t1[ok], z1[ok]
+            step[good] = np.minimum(2.0 * step[good], MAX_STEP)
+            step[bad] *= 0.5
+            stalled = bad[step[bad] < MIN_STEP]
+            live[good[t[good] == 1.0]] = live[stalled] = False
+            failed[stalled[t[stalled] <= ENDGAME_T]] = True
+        failed |= live
+        if failed.any():
+            raise NoConvergence(f"{int(failed.sum())} of {paths} paths failed to reach t = 1")
+        # Newton on F; at a double root it gains a bit per step, not
+        # monotonically at first, so each path keeps its best iterate
+        ones = np.ones(paths)
+        value, jac, _ = homotopy(z, ones)
+        best, least = z.copy(), np.abs(value).max(-1)
+        for _ in range(ENDGAME_NEWTON):
+            z = z - _solve(jac, value)
+            value, jac, _ = homotopy(z, ones)
+            size = np.abs(value).max(-1)
+            better = size < least
+            best[better], least[better] = z[better], size[better]
+    return best[:, :k]
 
 
 def canonicalize_and_dedup(solutions, dedup_tol: float = DEDUP_TOL):
@@ -303,57 +334,25 @@ def conjugate_pairs(solutions) -> list:
     return groups
 
 
-def default_start_count(modes: int) -> int:
-    """200 random starts up to three modes, 1000 beyond."""
-    return 200 if modes <= 3 else 1000
+def solve_all_saddles(problem: ScalingProblem):
+    """All isolated scaling solutions, from one homotopy over C(2M-2, M-1) paths.
 
-
-def solve_all_saddles(
-    problem: ScalingProblem,
-    starts: int | None = None,
-    seed: int = 0,
-):
-    """Multi-start Newton over random initial ratios; all distinct roots found.
-
-    Starts are seeded per (seed, index) so the run is deterministic and the
-    start loop is safely partitionable.  Initial guesses follow the
-    empirically dominant form x_k ~ sqrt(n_k/N) e^{i theta_k} with uniform
-    phases.  Converged roots are recovered to (x, y, p), roots with a
-    (near-)zero p entry are discarded as degenerate, the rest are gauge-fixed,
-    deduplicated, and sorted by descending contribution magnitude.
-
-    The returned list is the set of roots *found*; no completeness claim is
-    made (no counting formula exists).
+    The path count is the 2-homogeneous Bezout bound of the reduced system in
+    (R, 1/R), so with the gamma trick every isolated root ends a path
+    (Sommese & Wampler 2005; Morgan 1987).  The start system, gamma and step
+    rules are module constants: the result repeats bit for bit, and a failed
+    path raises NoConvergence instead of returning a partial set.  Endpoints
+    are recovered to (x, y, p), roots with a (near-)zero p entry are dropped
+    as degenerate, and the rest are gauge-fixed, deduplicated (paths meeting
+    at a double root give one saddle or two nearby ones) and sorted by
+    descending contribution magnitude.
     """
-    if starts is None:
-        starts = default_start_count(problem.U.dim)
-    if starts < 1:
-        raise ValueError("need at least one start")
+    if np.any(problem.U.entries == 0):
+        raise DegenerateSaddle("U has a zero entry, so p vanishes there at every scaling solution")
     system = build_reduced_system(problem)
-    modes = problem.U.dim
-    roots = []
-    for s in range(starts):
-        rng = np.random.default_rng([seed, s])
-        theta = rng.uniform(0.0, 2.0 * math.pi, modes)
-        r0 = np.exp(1j * (theta[: modes - 1] - theta[modes - 1]))
-        if s % 2:
-            # unit-modulus starts match the dominant oscillatory solutions but
-            # miss real decay-regime roots off the unit circle; jitter the radii
-            r0 = r0 * np.exp(rng.uniform(-1.5, 1.5, modes - 1))
-        root = _newton_start(system, r0)
-        if root is None:
-            continue
-        # cheap R-space dedup before the expensive recovery
-        if any(np.max(np.abs(root - seen)) <= 1e-9 for seen in roots):
-            continue
-        roots.append(root)
-    if not roots:
-        raise NoConvergence(
-            f"no scaling solutions found in {starts} starts (tol={SOLVER_TOL:g})"
-        )
     recovered = []
     degenerate = 0
-    for root in roots:
+    for root in _track(system):
         sol = system.recover(root)
         if sol.residual > 10 * SOLVER_TOL:
             continue
@@ -379,9 +378,18 @@ def solve_all_saddles(
                 lead = next((v.imag for v in sols[i].p.flat if abs(v.imag) > DEDUP_TOL), 0.0)
                 rep, other = (i, j) if lead > 0 else (j, i)
                 sols[other] = sols[rep].conjugated()
+    for sol in sols:
+        # a real saddle is made exactly real: with det D' < 0 its term is
+        # purely imaginary, and its sign must not come from rounding noise
+        if np.max(np.abs(sol.p.imag)) <= REAL_P_TOL:
+            sol.p = sol.p.real + 0j
+            if problem.U.is_real:
+                sol.x, sol.y = sol.x.real + 0j, sol.y.real + 0j
+    # saddles of equal magnitude (symmetric networks) are ordered by p, not
+    # by the rounding noise in their magnitudes
     sols.sort(
         key=lambda s: (
-            -contribution_log_mag(s.x, s.y, s.p, s.n_counts, s.m_counts),
+            -round(contribution_log_mag(s.x, s.y, s.p, s.n_counts, s.m_counts), 9),
             tuple(np.round(s.p, 10).flatten().view(float)),
         )
     )

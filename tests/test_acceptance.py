@@ -124,7 +124,7 @@ def test_criterion_03_generalized_hom_suppression():
         half = total // 2
         n = Occupation.of(half, half)
         for m1 in range(1, total, 2):
-            res = amplitude_approx(bs, n, Occupation.of(m1, total - m1), seed=1, starts=32)
+            res = amplitude_approx(bs, n, Occupation.of(m1, total - m1))
             calls += 1
             if not res.amplitude.is_zero:
                 offenders.append((total, m1))
@@ -144,7 +144,7 @@ def test_criterion_04_accuracy_at_n30():
     for m1 in range(6, 25, 2):
         m = Occupation.of(m1, 30 - m1)
         exact = amplitude_exact_bs(BeamSplitterCase.from_occupations(n, m))
-        res = amplitude_approx(bs, n, m, seed=1, starts=40)
+        res = amplitude_approx(bs, n, m)
         # the reported relative error is that of the probability |amp|^2,
         # approximately twice the Stirling error of the binomial C(30, m1)
         prob_rel = abs(abs((res.amplitude / exact).to_complex()) ** 2 - 1.0)
@@ -159,7 +159,7 @@ def test_criterion_04_accuracy_at_n30():
     )
 
 
-def _beam_splitter_error_points(in_fracs, out_fracs, n_max, seed=1, starts=40):
+def _beam_splitter_error_points(in_fracs, out_fracs, n_max):
     bs = beam_splitter()
     points = []
     for total in range(8, n_max + 1):
@@ -176,7 +176,7 @@ def _beam_splitter_error_points(in_fracs, out_fracs, n_max, seed=1, starts=40):
         if exact.is_zero:
             continue
         try:
-            res = amplitude_approx(bs, n, m, seed=seed, starts=starts)
+            res = amplitude_approx(bs, n, m)
         except CoalescingSaddles:
             continue
         if res.amplitude.is_zero:
@@ -219,13 +219,13 @@ def test_criterion_06_tritter_error_trend():
     for total in range(6, 61, 3):
         k = total // 3
         occ = Occupation.of(k, k, k)
-        sols = solve_all_saddles(ScalingProblem(tt, occ, occ), starts=300, seed=0)
+        sols = solve_all_saddles(ScalingProblem(tt, occ, occ))
         max_saddles = max(max_saddles, len(sols))
         assert len(sols) <= 6, f"N={total}: {len(sols)} saddles"
         exact = amplitude_exact(tt, occ, occ)
         if exact.is_zero:
             continue
-        res = amplitude_approx(tt, occ, occ, seed=0, starts=300)
+        res = amplitude_approx(tt, occ, occ)
         rel = abs((res.amplitude / exact).to_complex() - 1.0)
         rows.append((total, rel))
     c_of_n = [total * rel for total, rel in rows]
@@ -323,7 +323,7 @@ def test_criterion_08_determinant_identity_suite():
     ]
     worst_minor = 0.0
     for problem in problems:
-        sols = solve_all_saddles(problem, starts=300, seed=0)
+        sols = solve_all_saddles(problem)
         if problem.U.dim == 4:
             assert len(sols) <= 20
         for sol in sols:
@@ -358,7 +358,7 @@ def test_criterion_09_coalescing_detection(tmp_path):
         if not 14 <= m1 <= 46:
             continue
         exact = amplitude_exact_bs(case)
-        res = amplitude_approx(bs, n, m, seed=1, starts=40)
+        res = amplitude_approx(bs, n, m)
         prob_rel = abs(abs((res.amplitude / exact).to_complex()) ** 2 - 1.0)
         window_ratios[m1] = prob_rel / (ref_n + stirling_relative_error(m))
     near_10 = [m1 for m1 in flagged if 5 <= m1 <= 13]
@@ -377,7 +377,6 @@ def test_criterion_09_coalescing_detection(tmp_path):
             [
                 "amplitude", "--matrix", str(path),
                 "--in", "10,50", "--out", "8,52", "--method", "approx",
-                "--starts", "30",
             ]
         )
     cli_flagged = code == 3 and "coalescing" in buf.getvalue()

@@ -115,9 +115,7 @@ def test_analytic_saddles_match_solver(bs):
             continue
         checked += 1
         got = solve_all_saddles(
-            ScalingProblem(bs, Occupation.of(n1, total - n1), Occupation.of(m1, total - m1)),
-            starts=60,
-            seed=0,
+            ScalingProblem(bs, Occupation.of(n1, total - n1), Occupation.of(m1, total - m1))
         )
         want = analytic_saddles(case)
         assert len(got) == len(want) == 2

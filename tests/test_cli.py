@@ -75,7 +75,7 @@ def test_amplitude_both_recovers_classical_bell(matrix_files, capsys):
     code, out, _ = run_cli(
         capsys,
         "amplitude", "--matrix", str(matrix_files / "bs.json"),
-        "--in", "6,6", "--out", "4,8", "--method", "both", "--starts", "40",
+        "--in", "6,6", "--out", "4,8", "--method", "both",
     )
     assert code == 0
     rec = json.loads(out)
@@ -88,7 +88,7 @@ def test_amplitude_coalescing_exits_3_with_diagnostics(matrix_files, capsys):
     code, out, _ = run_cli(
         capsys,
         "amplitude", "--matrix", str(matrix_files / "bs.json"),
-        "--in", "10,50", "--out", "8,52", "--method", "approx", "--starts", "30",
+        "--in", "10,50", "--out", "8,52", "--method", "approx",
     )
     assert code == 3
     rec = json.loads(out)
@@ -158,7 +158,7 @@ def test_saddles_beam_splitter_oscillatory(matrix_files, capsys):
     code, out, _ = run_cli(
         capsys,
         "saddles", "--matrix", str(matrix_files / "bs.json"),
-        "--in", "6,6", "--out", "5,7", "--starts", "40",
+        "--in", "6,6", "--out", "5,7",
     )
     assert code == 0
     rec = json.loads(out)
@@ -176,7 +176,6 @@ def test_saddles_exit_4_when_degenerate(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "saddles", "--matrix", str(path), "--in", "1,1", "--out", "1,1",
-        "--starts", "20",
     )
     assert code == 4
     assert json.loads(out)["saddles"] == []
@@ -187,7 +186,7 @@ def test_error_sweep_structure_and_flags(matrix_files, capsys):
         capsys,
         "error-sweep", "--matrix", str(matrix_files / "bs.json"),
         "--in-fractions", "1/2:1/2", "--out-fractions", "1/2:1/2",
-        "--n-min", "8", "--n-max", "24", "--n-step", "2", "--starts", "30",
+        "--n-min", "8", "--n-max", "24", "--n-step", "2",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -214,7 +213,7 @@ def test_error_sweep_marks_coalescing_rows(matrix_files, capsys):
         capsys,
         "error-sweep", "--matrix", str(matrix_files / "bs.json"),
         "--in-fractions", "1/6:5/6", "--out-fractions", "2/15:13/15",
-        "--n-min", "60", "--n-max", "60", "--n-step", "1", "--starts", "30",
+        "--n-min", "60", "--n-max", "60", "--n-step", "1",
     )
     assert code == 0
     rows = out.strip().splitlines()[2:]
@@ -230,7 +229,7 @@ def test_error_sweep_marks_coalescing_rows(matrix_files, capsys):
 def test_outputs_are_byte_stable(matrix_files, capsys):
     argv = [
         "amplitude", "--matrix", str(matrix_files / "bs.json"),
-        "--in", "6,6", "--out", "4,8", "--method", "both", "--starts", "40",
+        "--in", "6,6", "--out", "4,8", "--method", "both",
     ]
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
@@ -238,7 +237,7 @@ def test_outputs_are_byte_stable(matrix_files, capsys):
 
     argv = [
         "saddles", "--matrix", str(matrix_files / "tritter.json"),
-        "--in", "2,2,2", "--out", "2,2,2", "--starts", "60",
+        "--in", "2,2,2", "--out", "2,2,2",
     ]
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
@@ -250,7 +249,7 @@ def test_error_sweep_byte_stable_modulo_timings(matrix_files, capsys, monkeypatc
     argv = [
         "error-sweep", "--matrix", str(matrix_files / "bs.json"),
         "--in-fractions", "1/2:1/2", "--out-fractions", "1/2:1/2",
-        "--n-min", "8", "--n-max", "16", "--n-step", "4", "--starts", "30",
+        "--n-min", "8", "--n-max", "16", "--n-step", "4",
     ]
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)

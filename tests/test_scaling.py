@@ -5,18 +5,23 @@ import numpy as np
 import pytest
 
 from bosonic_saddle import (
+    CoalescingSaddles,
     DegenerateSaddle,
     EmptyMode,
+    NoConvergence,
     NonPositiveMatrix,
     Occupation,
     ScalingProblem,
+    amplitude_approx,
     build_reduced_system,
     canonicalize_and_dedup,
     haar_random_unitary,
     sinkhorn_scale_classical,
     solve_all_saddles,
+    tritter,
     validate_unitary,
 )
+from bosonic_saddle import scaling
 from bosonic_saddle.scaling import SaddleSolution
 
 
@@ -53,7 +58,7 @@ def test_reduced_system_roots_match_quadratic(bs, n1, m1, total):
 
 def test_solver_finds_both_beam_splitter_roots(bs):
     problem = ScalingProblem(bs, _occ(15, 15), _occ(15, 15))
-    sols = solve_all_saddles(problem, starts=50, seed=3)
+    sols = solve_all_saddles(problem)
     assert len(sols) == 2
     ratios = sorted(
         complex(math.sqrt(s.n_counts[1] / s.n_counts[0]) * s.x[0] / s.x[1]).imag
@@ -68,7 +73,7 @@ def test_all_solutions_satisfy_margins(bs, tt):
         (bs, _occ(10, 20), _occ(14, 16)),
         (tt, _occ(4, 4, 4), _occ(3, 5, 4)),
     ]:
-        for sol in solve_all_saddles(ScalingProblem(u, n, m), starts=80, seed=1):
+        for sol in solve_all_saddles(ScalingProblem(u, n, m)):
             assert sol.residual <= 1e-12
             assert sol.margin_residual() <= 1e-12
 
@@ -84,7 +89,7 @@ def test_solver_matches_closed_form_phases(bs, total):
     gamma = (m[1] - m[0]) / (2 * math.sqrt(n[0] * n[1]))
     if gamma * gamma >= 1:
         pytest.skip("landed in the decay regime")
-    sols = solve_all_saddles(ScalingProblem(bs, n, m), starts=60, seed=0)
+    sols = solve_all_saddles(ScalingProblem(bs, n, m))
     assert len(sols) == 2
     got = sorted(
         (complex(math.sqrt(n[1] / n[0]) * s.x[0] / s.x[1]) for s in sols),
@@ -99,7 +104,7 @@ def test_solver_matches_closed_form_phases(bs, total):
 
 
 def test_decay_regime_real_roots(bs):
-    sols = solve_all_saddles(ScalingProblem(bs, _occ(10, 50), _occ(2, 58)), starts=60, seed=0)
+    sols = solve_all_saddles(ScalingProblem(bs, _occ(10, 50), _occ(2, 58)))
     assert len(sols) == 2
     for s in sols:
         assert np.max(np.abs(s.p.imag)) <= 1e-10
@@ -107,7 +112,7 @@ def test_decay_regime_real_roots(bs):
 
 def test_gauge_orbit_is_identified():
     u = haar_random_unitary(3, 3)
-    sols = solve_all_saddles(ScalingProblem(u, _occ(2, 2, 2), _occ(2, 2, 2)), starts=60, seed=0)
+    sols = solve_all_saddles(ScalingProblem(u, _occ(2, 2, 2), _occ(2, 2, 2)))
     sol = sols[0]
     lam = 2j
     shifted = SaddleSolution(
@@ -123,7 +128,7 @@ def test_gauge_orbit_is_identified():
 
 
 def test_beam_splitter_roots_stay_distinct(bs):
-    sols = solve_all_saddles(ScalingProblem(bs, _occ(15, 15), _occ(15, 15)), starts=50, seed=0)
+    sols = solve_all_saddles(ScalingProblem(bs, _occ(15, 15), _occ(15, 15)))
     assert len(canonicalize_and_dedup(sols)) == 2
 
 
@@ -132,7 +137,7 @@ def test_dedup_empty_input():
 
 
 def test_canonical_gauge_is_real_positive(bs):
-    for sol in solve_all_saddles(ScalingProblem(bs, _occ(10, 20), _occ(14, 16)), starts=60, seed=0):
+    for sol in solve_all_saddles(ScalingProblem(bs, _occ(10, 20), _occ(14, 16))):
         assert sol.x[0].imag == pytest.approx(0.0, abs=1e-15)
         assert sol.x[0].real > 0
         # p is gauge invariant: recompute from the canonical vectors
@@ -143,27 +148,88 @@ def test_canonical_gauge_is_real_positive(bs):
 
 def test_solver_determinism(tt):
     occ = _occ(3, 3, 3)
-    a = solve_all_saddles(ScalingProblem(tt, occ, occ), starts=100, seed=5)
-    b = solve_all_saddles(ScalingProblem(tt, occ, occ), starts=100, seed=5)
+    a = solve_all_saddles(ScalingProblem(tt, occ, occ))
+    b = solve_all_saddles(ScalingProblem(tt, occ, occ))
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.p, sb.p)
+        assert np.array_equal(sa.x, sb.x)
+        assert np.array_equal(sa.y, sb.y)
 
 
 def test_tritter_saddle_count_and_start_stability(tt):
     occ = _occ(4, 4, 4)
-    few = solve_all_saddles(ScalingProblem(tt, occ, occ), starts=500, seed=2)
-    many = solve_all_saddles(ScalingProblem(tt, occ, occ), starts=1000, seed=2)
-    assert len(few) <= 6
-    assert len(few) == len(many)
-    for sa, sb in zip(few, many):
-        assert np.max(np.abs(sa.p - sb.p)) <= 1e-8
+    first = solve_all_saddles(ScalingProblem(tt, occ, occ))
+    again = solve_all_saddles(ScalingProblem(tt, occ, occ))
+    assert len(first) == len(again) == 6
+    for sa, sb in zip(first, again):
+        assert np.array_equal(sa.p, sb.p)
+
+
+def _real_orthogonal(dim, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return validate_unitary(q * np.sign(np.diag(r)))
+
+
+_COUNT_CASES = [
+    *[pytest.param(haar_random_unitary(3, s), (8, 10, 12), (11, 9, 10), id=f"haar3-{s}") for s in (1, 2, 3)],
+    *[pytest.param(haar_random_unitary(4, s), (3, 2, 4, 1), (2, 2, 3, 3), id=f"haar4-{s}") for s in (1, 2)],
+    pytest.param(_real_orthogonal(3, 2), (2, 2, 2), (1, 3, 2), id="orthogonal3-2"),
+    pytest.param(_real_orthogonal(4, 2), (1, 1, 1, 1), (1, 1, 1, 1), id="orthogonal4-2"),
+]
+
+
+@pytest.mark.parametrize("u,n,m", _COUNT_CASES)
+def test_solver_finds_the_bezout_count(u, n, m):
+    # the 2-homogeneous Bezout number of the reduced system in (R, 1/R)
+    sols = solve_all_saddles(ScalingProblem(u, Occupation(n), Occupation(m)))
+    assert len(sols) == math.comb(2 * u.dim - 2, u.dim - 1)
+    for sol in sols:
+        assert sol.margin_residual() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "u,n,m",
+    [
+        (haar_random_unitary(3, 2), (8, 10, 12), (11, 9, 10)),
+        # six saddles of one magnitude: their order must not come from noise
+        (tritter(), (2, 2, 2), (4, 1, 1)),
+    ],
+    ids=["haar3-2", "tritter"],
+)
+def test_saddles_do_not_depend_on_the_start_system(monkeypatch, u, n, m):
+    problem = ScalingProblem(u, Occupation(n), Occupation(m))
+    base = solve_all_saddles(problem)
+    assert len(base) == 6
+    for shift in (1, 2, 3):
+        monkeypatch.setattr(scaling, "HOMOTOPY_SEED", scaling.HOMOTOPY_SEED + shift)
+        other = solve_all_saddles(problem)
+        monkeypatch.undo()
+        assert len(other) == len(base)
+        for sa, sb in zip(base, other):
+            assert np.max(np.abs(sa.p - sb.p)) <= 1e-10
+
+
+def test_failed_paths_raise_instead_of_a_partial_set(tt, monkeypatch):
+    monkeypatch.setattr(scaling, "TRACK_MAX_STEPS", 1)
+    occ = _occ(4, 4, 4)
+    with pytest.raises(NoConvergence, match="6 of 6 paths failed"):
+        solve_all_saddles(ScalingProblem(tt, occ, occ))
+
+
+def test_coalescing_margins_give_at_most_two_saddles(bs):
+    # gamma^2 = 1 exactly: the two roots merge into a double root, where
+    # Newton converges only linearly; its copies must not pass for new saddles
+    sols = solve_all_saddles(ScalingProblem(bs, _occ(2, 8), _occ(1, 9)))
+    assert 1 <= len(sols) <= 2
+    with pytest.raises(CoalescingSaddles):
+        amplitude_approx(bs, _occ(2, 8), _occ(1, 9))
 
 
 def test_degenerate_saddles_are_reported():
     ident = validate_unitary(np.eye(2))
     with pytest.raises(DegenerateSaddle):
-        solve_all_saddles(ScalingProblem(ident, _occ(1, 1), _occ(1, 1)), starts=30, seed=0)
+        solve_all_saddles(ScalingProblem(ident, _occ(1, 1), _occ(1, 1)))
 
 
 def test_sinkhorn_bell_closed_form(bs):
