@@ -26,14 +26,12 @@ from .errors import (
 )
 from .exact import (
     FlopEstimate,
-    RepeatedMatrixSpec,
     RyserStats,
     amplitude_exact,
     bell_classical_probability,
     classical_probability,
     flop_estimate,
-    permanent_ryser_repeated,
-    permanent_ryser_repeated_with_stats,
+    permanent_repeated,
 )
 from .logcomplex import LogComplex
 from .network import (

@@ -29,12 +29,7 @@ from .errors import (
     NoConvergence,
     NoSaddlesFound,
 )
-from .exact import (
-    amplitude_exact,
-    classical_probability,
-    flop_estimate,
-    _permanent_repeated_raw,
-)
+from .exact import amplitude_exact, classical_probability, flop_estimate, permanent_repeated
 from .logcomplex import LogComplex
 from .matrixio import load_matrix, occupation_from_fractions, parse_fractions, parse_occupation
 from .network import (
@@ -363,9 +358,7 @@ def cmd_bench(args) -> int:
         stats = None
         while elapsed < args.min_time and reps < 50:
             t0 = time.perf_counter()
-            _, stats = _permanent_repeated_raw(
-                matrix.entries, occ.counts, occ.counts, precision="double"
-            )
+            _, stats = permanent_repeated(matrix, occ, occ)
             dt = time.perf_counter() - t0
             best = min(best, dt)
             elapsed += dt
@@ -379,6 +372,10 @@ def cmd_bench(args) -> int:
                 "instrumented_flops": stats.instrumented_flops,
                 "flop_lower": fe.lower,
                 "flop_upper": fe.upper,
+                "dps_used": stats.dps_used,
+                "condition_log10": (
+                    stats.condition_log10 if math.isfinite(stats.condition_log10) else None
+                ),
                 "wall_time_s": best,
                 "repetitions": reps,
             }
@@ -392,7 +389,6 @@ def cmd_bench(args) -> int:
         {
             "schema": SCHEMA,
             "matrix_dim": matrix.dim,
-            "precision": "double",
             "rows": rows,
             "fitted_exponent": exponent,
         }
@@ -446,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_occ", required=True)
     p.set_defaults(func=cmd_saddles)
 
-    p = sub.add_parser("bench", help="runtime and flop accounting of the exact engine")
+    p = sub.add_parser(
+        "bench", help="runtime, flop and digit accounting of the exact kernel (uniform occupations)"
+    )
     add_common(p)
     p.add_argument("--n-list", required=True, help="comma-separated N values")
     p.add_argument("--min-time", type=float, default=0.25, help="seconds of timing per N")

@@ -1,23 +1,21 @@
-"""Exact amplitude engines for repeated-row/column permanents.
+"""Exact amplitude engine for repeated-row/column permanents.
 
 The boson transition amplitude is per(U[n|m]) / sqrt(prod n_k! m_k!), where
 U[n|m] repeats row k of the network matrix n_k times and column l m_l times.
-For such matrices the inclusion-exclusion permanent collapses to a sum over
-column-crossing vectors r with 0 <= r_l <= m_l:
+For such matrices Glynn's formula collapses to a sum over vectors s with
+0 <= s_l <= m_l:
 
-    per(U[n|m]) = sum_r (-1)^{sum r} prod_k C(m_k, r_k) (sum_l (m_l - r_l) U_kl)^{n_k}
+    per(U[n|m]) = 2^-N sum_s (-1)^{|s|} prod_l C(m_l, s_l)
+                  prod_k (sum_l (m_l - 2 s_l) U_kl)^{n_k}
 
-with the single point r = m excluded, i.e. prod_k (m_k + 1) - 1 terms in
-total and O(N^{M+1}) flops.  The series alternates and can cancel many
-orders of magnitude below its largest term, so the default engine does not
-use floating point at all: float64 entries are dyadic rationals, the matrix
-times one power of two is a Gaussian-integer matrix, and the (Glynn form of
-the) sum is evaluated exactly in Python ints.  Only the final division by
-the normalization rounds, once; results come back as LogComplex.  A plain
-float64 pass of the sum above (precision="double") is kept for the flop
-model and runtime-complexity benchmarks.
+prod_l (m_l + 1) terms and O(N^{M+1}) flops.  The series alternates and can
+cancel many orders of magnitude below its largest term, so the engine does
+not use floating point at all: float64 entries are dyadic rationals, the
+matrix times one power of two is a Gaussian-integer matrix, and the sum is
+evaluated exactly in Python ints.  Only the final division by the
+normalization rounds, once; results come back as LogComplex.
 
-Classical-particle probabilities and the flop accounting for the reduced
+Classical-particle probabilities and the flop accounting for the
 inclusion-exclusion sum live here too; the independent small-N oracles used
 to cross-check the engine are in the test suite.
 """
@@ -32,39 +30,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MarginMismatch
-from .logcomplex import _LN2, LogComplex, _frexp_int
+from .logcomplex import _LN2, LogComplex
 from .network import NetworkMatrix, Occupation, check_margins
 
 _LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
-class RepeatedMatrixSpec:
-    """A matrix U[n|m] of repeated rows/columns, kept in factored form."""
-
-    base: NetworkMatrix
-    row_reps: Occupation
-    col_reps: Occupation
-
-    def __post_init__(self):
-        if self.row_reps.modes != self.base.dim or self.col_reps.modes != self.base.dim:
-            raise MarginMismatch("occupation length must equal the matrix dimension")
-        check_margins(self.row_reps, self.col_reps)
-
-    @property
-    def size(self) -> int:
-        return self.row_reps.total
-
-    def materialize(self) -> np.ndarray:
-        """The explicit N x N matrix (for small-N oracle comparisons only)."""
-        rows = np.repeat(np.arange(self.base.dim), self.row_reps.counts)
-        cols = np.repeat(np.arange(self.base.dim), self.col_reps.counts)
-        return self.base.entries[np.ix_(rows, cols)]
-
-
-@dataclass(frozen=True)
 class FlopEstimate:
-    """Lower/upper flop bounds for the reduced inclusion-exclusion sum."""
+    """Lower/upper flop bounds for the full inclusion-exclusion sum.
+
+    The bounds count all prod(m_k+1) - 1 points of the sum.  The kernel walks
+    only half of them (terms at s and m - s are equal), so its instrumented
+    count can fall below ``lower`` when M = 2.
+    """
 
     lower: int
     upper: int
@@ -75,12 +54,11 @@ class RyserStats:
     """Instrumentation record for one permanent evaluation."""
 
     terms: int = 0
-    weighted_terms: int = 0  # sum over the summed points r of s(r) = #{l : r_l < m_l}
+    weighted_terms: int = 0  # sum over the summed points s of #{l : s_l < m_l}
     instrumented_flops: int = 0  # N * weighted_terms
     max_term_log: float = -math.inf
     condition_log10: float = 0.0  # log10(largest |term| / |sum|)
-    dps_used: int = 0  # decimal digits of the largest integer term; 0 means float64 only
-    passes: int = 1
+    dps_used: int = 0  # decimal digits of the largest integer term
 
 
 def flop_estimate(n: Occupation, m: Occupation) -> FlopEstimate:
@@ -97,150 +75,7 @@ def flop_estimate(n: Occupation, m: Occupation) -> FlopEstimate:
     return FlopEstimate(lower=base, upper=modes * base)
 
 
-# -- reduced inclusion-exclusion engine --------------------------------------
-
-
-def _ryser_double(a, n_counts, m_counts):
-    """Pure float64 pass over the reduced inclusion-exclusion sum.
-
-    a is a row-major list of lists of Python complex.  Returns
-    (LogComplex, RyserStats).
-    """
-    modes = len(n_counts)
-    n_total = sum(n_counts)
-    binom_tables = [
-        [_frexp_int(math.comb(mk, r)) for r in range(mk + 1)] for mk in m_counts
-    ]
-    total_points = 1
-    for mk in m_counts:
-        total_points *= mk + 1
-    terms = total_points - 1
-
-    r = [0] * modes
-    w = [
-        sum(m_counts[l] * a[k][l] for l in range(modes)) for k in range(modes)
-    ]
-    parity = 1.0
-    open_cols = sum(1 for mk in m_counts if mk > 0)  # s(r) = #{l : r_l < m_l}
-    weighted = 0
-    since_refresh = 0
-    mrange = range(modes)
-    frexp, ldexp = math.frexp, math.ldexp
-
-    # Kahan-compensated sum anchored at the running max binary exponent,
-    # inlined here because this loop dominates the engine's runtime
-    anchor = 0
-    acc_s = 0j
-    acc_c = 0j
-    acc_abs = 0.0
-    max_exp2 = None
-    max_mag = 0.0
-
-    for idx in range(terms):
-        weighted += open_cols
-        mant = parity + 0j
-        e = 0
-        for k in mrange:
-            nk = n_counts[k]
-            wk = w[k]
-            # naive powering keeps the per-term cost linear in n_k, matching
-            # the documented flop model
-            pm = 1.0 + 0j
-            pe = 0
-            for _ in range(nk):
-                pm *= wk
-                am = abs(pm)
-                if am > 1e150 or am < 1e-150:
-                    if am == 0.0:
-                        pe = 0
-                        break
-                    _, kk = frexp(am)
-                    pm = complex(ldexp(pm.real, -kk), ldexp(pm.imag, -kk))
-                    pe += kk
-            if pm == 0j:
-                mant = 0j
-                break
-            bm, be = binom_tables[k][r[k]]
-            mant *= pm * bm
-            e += pe + be
-        a_mant = abs(mant)
-        if a_mant != 0.0:
-            _, kk = frexp(a_mant)
-            if kk:
-                mant = complex(ldexp(mant.real, -kk), ldexp(mant.imag, -kk))
-                a_mant = abs(mant)
-                e += kk
-            if max_exp2 is None or (e, a_mant) > (max_exp2, max_mag):
-                max_exp2, max_mag = e, a_mant
-            d = e - anchor
-            if acc_abs == 0.0 and acc_s == 0j:
-                anchor = e
-                acc_s = mant
-                acc_abs = a_mant
-            else:
-                if d > 0:
-                    acc_s = complex(ldexp(acc_s.real, -d), ldexp(acc_s.imag, -d))
-                    acc_c = complex(ldexp(acc_c.real, -d), ldexp(acc_c.imag, -d))
-                    acc_abs = ldexp(acc_abs, -d) if d <= 4400 else 0.0
-                    anchor = e
-                    d = 0
-                if d >= -2100:
-                    t = mant if d == 0 else complex(ldexp(mant.real, d), ldexp(mant.imag, d))
-                    acc_abs += abs(t)
-                    yk = t - acc_c
-                    tot = acc_s + yk
-                    acc_c = (tot - acc_s) - yk
-                    acc_s = tot
-
-        if idx == terms - 1:
-            break
-        # advance the odometer (last index fastest), updating w incrementally
-        j = modes - 1
-        while r[j] == m_counts[j]:
-            back = m_counts[j]
-            r[j] = 0
-            if back > 0:
-                open_cols += 1
-                for k in mrange:
-                    w[k] += back * a[k][j]
-                if back % 2:
-                    parity = -parity
-            j -= 1
-        r[j] += 1
-        parity = -parity
-        if r[j] == m_counts[j]:
-            open_cols -= 1
-        for k in mrange:
-            w[k] -= a[k][j]
-        since_refresh += 1
-        if since_refresh >= 256:
-            since_refresh = 0
-            w = [
-                sum((m_counts[l] - r[l]) * a[k][l] for l in range(modes))
-                for k in range(modes)
-            ]
-
-    value = LogComplex(acc_s, anchor)
-    if max_exp2 is None:
-        max_term_log = -math.inf
-        cond = 0.0
-    else:
-        max_term_log = math.log(max_mag) + max_exp2 * math.log(2.0)
-        vmag = abs(acc_s)
-        if vmag == 0.0:
-            cond = math.inf if acc_abs > 0 else 0.0
-        else:
-            cond = math.log10(acc_abs / vmag) if acc_abs > 0 else 0.0
-    stats = RyserStats(
-        terms=terms,
-        weighted_terms=weighted,
-        instrumented_flops=n_total * weighted,
-        max_term_log=max_term_log,
-        condition_log10=cond,
-        dps_used=0,
-        passes=1,
-    )
-    return value, stats
+# -- exact integer engine -----------------------------------------------------
 
 
 @lru_cache(maxsize=64)
@@ -371,7 +206,6 @@ def _permanent_exact(a_np, n_counts, m_counts, squared: bool = False):
         max_term_log=(max_bits - 0.5 + exp2) * _LN2 if max_bits else -math.inf,
         condition_log10=cond,
         dps_used=max(1, math.ceil(max_bits * _LOG10_2)),
-        passes=1,
     )
     return acc_re, acc_im, exp2, stats
 
@@ -392,38 +226,17 @@ def _int_quotient(re: int, im: int, den: int, exp2: int) -> LogComplex:
     return LogComplex(complex(re / den, im / den), exp2 - k)
 
 
-def permanent_ryser_repeated(spec: RepeatedMatrixSpec, precision: str = "adaptive") -> LogComplex:
-    """per(U[n|m]) via the reduced inclusion-exclusion sum.
+def permanent_repeated(U: NetworkMatrix, n: Occupation, m: Occupation):
+    """per(U[n|m]) of the stored matrix, rounded once, and the kernel's RyserStats.
 
-    precision:
-      "adaptive" (default) - exact integer sum, one rounding at the end
-      "double" - single float64 pass (used for runtime-complexity benchmarks)
+    This is the kernel every exact amplitude runs; N = 0 gives 1 with no terms.
     """
-    value, _ = permanent_ryser_repeated_with_stats(spec, precision)
-    return value
-
-
-def permanent_ryser_repeated_with_stats(
-    spec: RepeatedMatrixSpec, precision: str = "adaptive"
-):
-    return _permanent_repeated_raw(
-        spec.base.entries, spec.row_reps.counts, spec.col_reps.counts, precision
-    )
-
-
-def _permanent_repeated_raw(a_np, n_counts, m_counts, precision: str = "adaptive"):
-    n_counts = tuple(int(c) for c in n_counts)
-    m_counts = tuple(int(c) for c in m_counts)
-    if sum(n_counts) != sum(m_counts):
-        raise MarginMismatch("row and column repetitions must agree in total")
-    if sum(n_counts) == 0:
-        return LogComplex.one(), RyserStats(terms=0)
-    if precision == "double":
-        a_list = [list(map(complex, row)) for row in np.asarray(a_np, dtype=np.complex128)]
-        return _ryser_double(a_list, n_counts, m_counts)
-    if precision != "adaptive":
-        raise ValueError(f"unknown precision mode {precision!r}")
-    re, im, exp2, stats = _permanent_exact(a_np, n_counts, m_counts)
+    check_margins(n, m)
+    if n.modes != U.dim:
+        raise MarginMismatch("occupation length must equal the matrix dimension")
+    if not n.total:
+        return LogComplex.one(), RyserStats()
+    re, im, exp2, stats = _permanent_exact(U.entries, n.counts, m.counts)
     return _int_quotient(re, im, 1, exp2), stats
 
 

@@ -31,18 +31,6 @@ def _scaled(z: complex, shift: int) -> complex:
     return complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
 
 
-def _frexp_int(value: int):
-    """frexp for arbitrary-size positive Python ints: (mantissa, exp2)."""
-    if value <= 0:
-        raise ValueError("positive integer required")
-    bits = value.bit_length()
-    if bits <= 960:
-        return math.frexp(float(value))
-    excess = bits - 64
-    m, e = math.frexp(float(value >> excess))
-    return m, e + excess
-
-
 class LogComplex:
     """Complex number stored as a unit-scale mantissa and a binary exponent.
 

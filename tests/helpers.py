@@ -39,6 +39,13 @@ def _perm_gather_indices(n: int) -> np.ndarray:
     return perms + (np.arange(n) * n)[None, :]
 
 
+def materialize(u: NetworkMatrix, n: Occupation, m: Occupation) -> np.ndarray:
+    """The explicit N x N matrix U[n|m]: row k repeated n_k times, column l m_l times."""
+    rows = np.repeat(np.arange(u.dim), n.counts)
+    cols = np.repeat(np.arange(u.dim), m.counts)
+    return u.entries[np.ix_(rows, cols)]
+
+
 def permanent_permutation_sum(a: np.ndarray) -> complex:
     """Full permutation enumeration, vectorized; the independent grid oracle."""
     n = a.shape[0]

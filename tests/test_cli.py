@@ -273,10 +273,12 @@ def test_bench_json_structure(matrix_files, capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["schema"] == "v1"
-    assert rec["precision"] == "double"
+    assert "precision" not in rec
     assert len(rec["rows"]) == 2
     for row in rec["rows"]:
         assert row["flop_lower"] < row["instrumented_flops"] < row["flop_upper"]
+        assert row["dps_used"] > 0
+        assert row["condition_log10"] >= 0
     assert rec["fitted_exponent"] is not None
 
 

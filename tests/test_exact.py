@@ -8,7 +8,6 @@ import pytest
 from bosonic_saddle import (
     MarginMismatch,
     Occupation,
-    RepeatedMatrixSpec,
     TooLarge,
     amplitude_exact,
     bell_classical_probability,
@@ -16,16 +15,15 @@ from bosonic_saddle import (
     enumerate_output_configs,
     flop_estimate,
     haar_random_unitary,
-    permanent_ryser_repeated,
-    permanent_ryser_repeated_with_stats,
+    permanent_repeated,
     validate_unitary,
 )
-from bosonic_saddle.exact import _permanent_repeated_raw
 
 from helpers import (
     amplitude_via_contingency_average,
     enumerate_contingency_tables,
     fisher_yates_probability,
+    materialize,
     permanent_permutation_sum,
     rel_error,
     rel_error_c,
@@ -45,25 +43,25 @@ def test_naive_beam_splitter_itself_cancels(bs):
 
 
 def test_ryser_hom_is_exactly_zero(bs):
-    spec = RepeatedMatrixSpec(bs, Occupation.of(1, 1), Occupation.of(1, 1))
-    assert permanent_ryser_repeated(spec).to_complex() == 0
+    value, _ = permanent_repeated(bs, Occupation.of(1, 1), Occupation.of(1, 1))
+    assert value.to_complex() == 0
 
 
 def test_ryser_repeated_row_case(bs):
-    spec = RepeatedMatrixSpec(bs, Occupation.of(2, 0), Occupation.of(1, 1))
-    assert permanent_ryser_repeated(spec).to_complex() == pytest.approx(-1.0)
+    value, _ = permanent_repeated(bs, Occupation.of(2, 0), Occupation.of(1, 1))
+    assert value.to_complex() == pytest.approx(-1.0)
 
 
 def test_ryser_matches_naive_on_haar_7x7():
     u = haar_random_unitary(3, 1)
-    spec = RepeatedMatrixSpec(u, Occupation.of(3, 2, 2), Occupation.of(2, 3, 2))
-    got = permanent_ryser_repeated(spec).to_complex()
-    want = permanent_permutation_sum(spec.materialize())
+    n, m = Occupation.of(3, 2, 2), Occupation.of(2, 3, 2)
+    got = permanent_repeated(u, n, m)[0].to_complex()
+    want = permanent_permutation_sum(materialize(u, n, m))
     assert rel_error_c(got, want) <= 1e-10
 
 
 def test_ryser_empty_margins_give_one(bs):
-    value, stats = _permanent_repeated_raw(bs.entries, (0, 0), (0, 0))
+    value, stats = permanent_repeated(bs, Occupation.of(0, 0), Occupation.of(0, 0))
     assert value.to_complex() == 1
     assert stats.terms == 0
 
@@ -180,15 +178,14 @@ def test_oracle_equivalence_sample():
                 configs = enumerate_output_configs(modes, total)
                 for n in configs[:: max(1, len(configs) // 4)]:
                     for m in configs[:: max(1, len(configs) // 4)]:
-                        spec = RepeatedMatrixSpec(u, n, m)
-                        got = permanent_ryser_repeated(spec).to_complex()
-                        want = permanent_permutation_sum(spec.materialize())
+                        got = permanent_repeated(u, n, m)[0].to_complex()
+                        want = permanent_permutation_sum(materialize(u, n, m))
                         assert rel_error_c(got, want) <= 1e-10
 
 
 def test_adaptive_precision_rescues_deep_cancellation(bs):
-    # N = 60 balanced margins lose ~15 digits in float64; the engine must
-    # escalate internally and still agree with the exact single-sum value
+    # N = 60 balanced margins cancel ~15 digits below the largest term; the
+    # integer sum carries them all and agrees with the exact single-sum value
     from bosonic_saddle import BeamSplitterCase, amplitude_exact_bs
 
     n = Occupation.of(30, 30)
@@ -196,8 +193,8 @@ def test_adaptive_precision_rescues_deep_cancellation(bs):
     got = amplitude_exact(bs, n, m)
     want = amplitude_exact_bs(BeamSplitterCase(30, 30, 28, 32))
     assert rel_error(got, want) <= 1e-10
-    _, stats = permanent_ryser_repeated_with_stats(RepeatedMatrixSpec(bs, n, m))
-    assert stats.dps_used > 0  # float64 alone cannot deliver this one
+    _, stats = permanent_repeated(bs, n, m)
+    assert stats.dps_used > 15  # more digits than float64 holds
 
 
 def test_structurally_suppressed_amplitude_detected_as_zero(bs):
@@ -227,9 +224,7 @@ def test_flop_upper_bound_grows_like_n_to_m_plus_1():
 
 def test_instrumented_flops_bracketed_by_estimate(tt):
     occ = Occupation.of(5, 5, 5)
-    _, stats = permanent_ryser_repeated_with_stats(
-        RepeatedMatrixSpec(tt, occ, occ), precision="double"
-    )
+    _, stats = permanent_repeated(tt, occ, occ)
     fe = flop_estimate(occ, occ)
     assert fe.lower < stats.instrumented_flops < fe.upper
 
@@ -240,9 +235,9 @@ def test_runtime_scaling_loose(tt):
         occ = Occupation(tuple([k] * 3))
         best = math.inf
         for _ in range(3):
-            t0 = time.perf_counter()
-            _permanent_repeated_raw(tt.entries, occ.counts, occ.counts, precision="double")
-            best = min(best, time.perf_counter() - t0)
+            t0 = time.process_time()
+            permanent_repeated(tt, occ, occ)
+            best = min(best, time.process_time() - t0)
         return best
 
     ratio = best_time(30) / best_time(15)
@@ -251,8 +246,6 @@ def test_runtime_scaling_loose(tt):
 
 def test_ryser_total_matches_independent_oracle(tt):
     occ_n = Occupation.of(2, 2, 2)
-    full = permanent_ryser_repeated(RepeatedMatrixSpec(tt, occ_n, occ_n)).to_complex()
-    want = permanent_permutation_sum(
-        RepeatedMatrixSpec(tt, occ_n, occ_n).materialize()
-    )
+    full = permanent_repeated(tt, occ_n, occ_n)[0].to_complex()
+    want = permanent_permutation_sum(materialize(tt, occ_n, occ_n))
     assert rel_error_c(full, want) <= 1e-10

@@ -17,12 +17,11 @@ import pytest
 from bosonic_saddle import (
     BeamSplitterCase,
     Occupation,
-    RepeatedMatrixSpec,
     amplitude_exact,
     amplitude_exact_bs,
     beam_splitter,
     classical_probability,
-    permanent_ryser_repeated_with_stats,
+    permanent_repeated,
     tritter,
 )
 
@@ -98,10 +97,9 @@ def test_beam_splitter_margins_at_n_160_to_200(n, m):
 
 
 def test_beam_splitter_parity_zero_is_an_exact_integer_zero():
-    spec = RepeatedMatrixSpec(beam_splitter(), Occupation.of(50, 50), Occupation.of(49, 51))
-    value, stats = permanent_ryser_repeated_with_stats(spec)
+    value, stats = permanent_repeated(beam_splitter(), Occupation.of(50, 50), Occupation.of(49, 51))
     assert value.is_zero
-    assert stats.passes == 1 and stats.dps_used > 0 and stats.condition_log10 == math.inf
+    assert stats.dps_used > 0 and stats.condition_log10 == math.inf
 
 
 def test_tritter_suppressed_output_is_at_the_rounding_level():
@@ -130,10 +128,9 @@ def test_classical_probability_is_correctly_rounded():
 def test_stats_describe_the_integer_sum():
     tt = tritter()
     occ = Occupation.of(10, 10, 10)
-    _, stats = permanent_ryser_repeated_with_stats(RepeatedMatrixSpec(tt, occ, occ))
+    _, stats = permanent_repeated(tt, occ, occ)
     # the mirror symmetry s <-> m - s halves the 11^3 odometer points
     assert stats.terms == (11**3 + 1) // 2
-    assert stats.passes == 1
     assert stats.dps_used > 16  # far beyond float64's digits
     assert 0 < stats.weighted_terms <= 3 * stats.terms
     assert stats.instrumented_flops == 30 * stats.weighted_terms

@@ -4,10 +4,9 @@
 
 Prints one JSON object: per row, the best-of-repeats wall time of the public
 call (`amplitude_exact` or `classical_probability`) and, for amplitudes, the
-best time of the plain float64 pass of the same sum (`precision="double"`)
-and the engine's own `RyserStats` for the permanent.  Only the public API is
-used, so the same script times any version of the package that PYTHONPATH
-points at.
+kernel's own `RyserStats` for the permanent (from `permanent_repeated`).
+Only the public API is used, so the same script times any version of the
+package that PYTHONPATH points at.
 """
 
 from __future__ import annotations
@@ -21,12 +20,11 @@ import numpy as np
 
 from bosonic_saddle import (
     Occupation,
-    RepeatedMatrixSpec,
     amplitude_exact,
     beam_splitter,
     classical_probability,
     haar_random_unitary,
-    permanent_ryser_repeated_with_stats,
+    permanent_repeated,
     tritter,
 )
 
@@ -61,12 +59,8 @@ def main(argv=None) -> int:
         n, m = Occupation(n), Occupation(m)
         row = {"row": name, "total_s": _best(lambda: fn(U, n, m), args.repeats)}
         if fn is amplitude_exact:  # the classical row sums |U|^2, not U
-            spec = RepeatedMatrixSpec(U, n, m)
-            row["float64_pass_s"] = _best(
-                lambda: permanent_ryser_repeated_with_stats(spec, precision="double"), args.repeats
-            )
-            _, stats = permanent_ryser_repeated_with_stats(spec)
-            row.update(terms=stats.terms, passes=stats.passes, dps_used=stats.dps_used,
+            _, stats = permanent_repeated(U, n, m)
+            row.update(terms=stats.terms, dps_used=stats.dps_used,
                        condition_log10=stats.condition_log10)
         out.append(row)
     env = f"python {platform.python_version()}, numpy {np.__version__}, {platform.machine()}"
